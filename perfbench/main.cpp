@@ -13,6 +13,7 @@
 #include <cstdlib>
 #include <cstring>
 #include <string>
+#include <utility>
 
 #include "perfbench.hpp"
 
@@ -86,7 +87,45 @@ double calibration_loop() {
   return s;
 }
 
+/// The CPUs this process may run on, as it started.
+const cpu_set_t& startup_cpus() {
+  static const cpu_set_t set = [] {
+    cpu_set_t s;
+    CPU_ZERO(&s);
+    if (sched_getaffinity(0, sizeof s, &s) != 0) CPU_SET(0, &s);
+    return s;
+  }();
+  return set;
+}
+
 }  // namespace
+
+void pin_to_quietest_cpus(int n) {
+  const cpu_set_t& allowed = startup_cpus();
+  std::vector<std::pair<double, int>> speed;  // (best loop time, cpu)
+  for (int cpu = 0; cpu < CPU_SETSIZE; ++cpu) {
+    if (!CPU_ISSET(cpu, &allowed)) continue;
+    cpu_set_t one;
+    CPU_ZERO(&one);
+    CPU_SET(cpu, &one);
+    if (sched_setaffinity(0, sizeof one, &one) != 0) continue;
+    double s = INFINITY;
+    for (int i = 0; i < 3; ++i) s = std::min(s, calibration_loop());
+    speed.emplace_back(s, cpu);
+  }
+  std::sort(speed.begin(), speed.end());
+  cpu_set_t chosen = allowed;
+  if (!speed.empty()) {
+    CPU_ZERO(&chosen);
+    for (std::size_t i = 0; i < speed.size() && i < static_cast<std::size_t>(n);
+         ++i) {
+      CPU_SET(speed[i].second, &chosen);
+    }
+  }
+  sched_setaffinity(0, sizeof chosen, &chosen);
+}
+
+void unpin() { sched_setaffinity(0, sizeof(cpu_set_t), &startup_cpus()); }
 
 void Calibration::sample() { samples_.push_back(calibration_loop()); }
 

@@ -90,13 +90,12 @@ double median_seconds(int reps, Fn&& fn) {
 
 /// Host-speed calibration.  On a shared host the same work ran up to 1.6x
 /// slower for minutes at a time, with no steal time reported (a busy
-/// neighbour on the same physical core).  `replay` therefore times a fixed
-/// loop of the benchmark's own, never the program's, before each world, and
-/// scales each pass's timings to a reference speed: a duration t is
-/// reported as t * kCalibrationRefS / c, where c is the pass's median loop
-/// time.  No change to the program can move c.  Over eight runs of one seed
-/// this cut the range of replay throughput from 30% to 11%; on `plan` the
-/// loop over-corrected (17% to 23%), so `plan` reports raw timings.
+/// neighbour on the same physical core).  `replay` and `plan` therefore
+/// time a fixed loop of the benchmark's own, never the program's, between
+/// their units of work (on the CPU they are pinned to), and scale each
+/// pass's timings to a reference speed: a duration t is reported as
+/// t * kCalibrationRefS / c, where c is the pass's median loop time.  No
+/// change to the program can move c.
 class Calibration {
  public:
   /// Times the calibration loop once.
@@ -108,6 +107,17 @@ class Calibration {
  private:
   std::vector<double> samples_;
 };
+
+/// Pins the calling thread to the `n` CPUs, among those the process
+/// started with, on which the calibration loop runs fastest right now.  On
+/// a shared host each vCPU slows by up to 1.6x while a neighbour is busy on
+/// the same physical core, and which vCPU that is changes within a minute,
+/// so the single-threaded workloads re-pick before every pass.  Threads the
+/// caller starts while pinned inherit the pin: `service` pins around
+/// AllocationService::start() so that its workers get the quietest CPUs.
+void pin_to_quietest_cpus(int n);
+/// Restores the CPUs the process started with.
+void unpin();
 
 /// Set-up repetitions per run; their median is reported as `setup_s`.
 constexpr int kSetupReps = 11;

@@ -35,7 +35,7 @@ struct ReplayShape {
 
 ReplayShape replay_shape(Size size) {
   if (size == Size::Smoke) return {2, {40, 2, 20}};
-  return {40, {400, 6, 50}};
+  return {80, {400, 6, 25}};
 }
 
 std::uint64_t world_seed(std::uint64_t seed, int k) {
@@ -193,6 +193,7 @@ void run_replay(const RunOptions& opt, Result& out) {
   std::vector<DynamicWorld> worlds;
   // Set-up: build the worlds and each world's initial from-scratch
   // allocation (what replay_trace does before its first event).
+  pin_to_quietest_cpus(1);
   const double setup_s = median_seconds(kSetupReps, [&] {
     worlds = make_worlds(opt.seed, shape);
     for (std::size_t k = 0; k < worlds.size(); ++k) {
@@ -214,6 +215,7 @@ void run_replay(const RunOptions& opt, Result& out) {
   long long cost_events = 0;
   std::vector<double> factors;
   run_passes(opt.seconds, [&](int pass) {
+    pin_to_quietest_cpus(1);
     Calibration cal;
     std::vector<std::vector<double>> pass_s(worlds.size());
     double pass_wall = 0.0;

@@ -127,10 +127,12 @@ RunRecord open_loop_run(const Deployment& d, const ServiceShape& shape,
   rec.block_s.resize(n);
   SpanLog::Scope run(producer_log, "bench.open_loop_run");
   insp::AllocationService svc(d.specs, service_options(seed, shape, n));
+  pin_to_quietest_cpus(shape.workers);  // the workers inherit this pin
   {
     SpanLog::Scope s(producer_log, "service.start");
     svc.start();
   }
+  unpin();
 
   std::vector<std::atomic<long long>> submitted(d.specs.size());
   std::atomic<bool> stop{false};
