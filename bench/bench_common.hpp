@@ -98,6 +98,19 @@ inline BenchFlags parse_flags(int argc, char** argv, int default_reps = 20,
   return f;
 }
 
+/// Exits with a usage error (2) if any option outside `known` was given, so
+/// a mistyped flag cannot silently fall back to its default.
+inline void reject_unknown_flags(const CliArgs& args,
+                                 const std::vector<std::string>& known) {
+  const std::vector<std::string> unknown = args.unknown(known);
+  if (unknown.empty()) return;
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "%s: unknown flag --%s\n", args.program().c_str(),
+                 name.c_str());
+  }
+  std::exit(2);
+}
+
 /// Pre-wired sweep spec: repetitions, seed, thread count, and the heuristic
 /// selection come from the standard flags so every bench binary is parallel
 /// and registry-filterable by default.

@@ -11,7 +11,10 @@
 // the measured loads so the plan is valid (rho* >= 1) and the steady-state
 // pipeline path is what gets timed.
 // Each row cross-checks that both cores return bit-identical results —
-// the same contract tests/sim/sim_differential_test.cpp enforces.
+// the same contract tests/sim/sim_differential_test.cpp enforces (the bench
+// exits 1 otherwise) — and records how many of the window's periods the
+// sparse core actually simulated before its steady-state fast-forward
+// (periods_simulated; the dense reference always runs them all).
 //
 // Emits machine-readable BENCH_sim.json (schema checked in CI by
 // scripts/check_bench_json.py).  --smoke shrinks the sweep for CI.
@@ -146,6 +149,7 @@ struct Row {
   int procs = 0;
   int crossing = 0;
   int periods = 0;
+  int periods_simulated = 0;
   int reps = 0;
   double rho_star = 0.0;
   double dense_ms = 0.0;
@@ -183,6 +187,8 @@ void write_json(const std::string& path, std::uint64_t seed,
     std::fprintf(f, "      \"num_processors\": %d,\n", r.procs);
     std::fprintf(f, "      \"crossing_edges\": %d,\n", r.crossing);
     std::fprintf(f, "      \"periods\": %d,\n", r.periods);
+    std::fprintf(f, "      \"periods_simulated\": %d,\n",
+                 r.periods_simulated);
     std::fprintf(f, "      \"reps\": %d,\n", r.reps);
     std::fprintf(f, "      \"rho_star\": %.4f,\n", r.rho_star);
     std::fprintf(f, "      \"dense_ms_per_run\": %.4f,\n", r.dense_ms);
@@ -205,6 +211,8 @@ int main(int argc, char** argv) {
   const BenchFlags flags =
       parse_flags(argc, argv, /*default_reps=*/10,
                   /*accepts_heuristics=*/false);
+  reject_unknown_flags(args,
+                       {"reps", "seed", "csv", "threads", "json", "smoke"});
   const std::string json_path = args.get("json", "BENCH_sim.json");
   const bool smoke = args.get_bool("smoke", false);
 
@@ -234,6 +242,7 @@ int main(int argc, char** argv) {
         simulate_allocation(prob, world.alloc, view, config);
     const EventSimResult dense = simulate_allocation_dense_reference(
         prob, world.alloc, view, config);
+    row.periods_simulated = sparse.periods_simulated;
     row.sustained = sparse.sustained;
     row.identical =
         sparse.results_produced == dense.results_produced &&
@@ -255,14 +264,20 @@ int main(int argc, char** argv) {
     rows.push_back(row);
 
     std::printf(
-        "N=%-4d procs=%-4d crossing=%-4d rho*=%.2f  dense %8.3f ms   "
-        "sparse %8.3f ms   speedup %6.1fx   sustained=%d identical=%d\n",
-        row.n, row.procs, row.crossing, row.rho_star, row.dense_ms,
-        row.sparse_ms, row.speedup, row.sustained ? 1 : 0,
-        row.identical ? 1 : 0);
+        "N=%-4d procs=%-4d crossing=%-4d rho*=%.2f  periods %d/%d  "
+        "dense %8.3f ms   sparse %8.3f ms   speedup %6.1fx   sustained=%d "
+        "identical=%d\n",
+        row.n, row.procs, row.crossing, row.rho_star, row.periods_simulated,
+        row.periods, row.dense_ms, row.sparse_ms, row.speedup,
+        row.sustained ? 1 : 0, row.identical ? 1 : 0);
   }
 
   write_json(json_path, flags.seed, rows);
   std::printf("\njson written to %s\n", json_path.c_str());
+  // The cores must agree bit-exactly on every row; a mismatch is a
+  // correctness failure, not a slow row.
+  for (const Row& row : rows) {
+    if (!row.identical) return 1;
+  }
   return 0;
 }

@@ -41,6 +41,11 @@ REQUIRED_ROW_KEYS = {
         "gap_events_measured", "repair_gap_mean", "repair_gap_max",
         "scratch_gap_mean", "scratch_gap_max",
     },
+    "sim": {
+        "num_operators", "num_processors", "crossing_edges", "periods",
+        "periods_simulated", "dense_ms_per_run", "sparse_ms_per_run",
+        "speedup", "sustained", "identical_results",
+    },
     "ilp": {
         "n", "alpha", "instances", "solved", "reference_solved",
         "nodes_incremental", "nodes_reference", "node_ratio", "costs_match",

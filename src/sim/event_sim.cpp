@@ -15,11 +15,15 @@
 //     list (operators that computed this period) instead of a full vector
 //     copy;
 //   - tokens in transit live in two pooled vectors that swap roles each
-//     period, so the steady-state period loop performs no heap allocation.
+//     period, so the steady-state period loop performs no heap allocation;
+//   - once the period-normalized state repeats, whole cycles are skipped
+//     exactly instead of simulated (steady-state fast-forward, DESIGN.md §8).
 #include "sim/event_sim.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
+#include <cstdint>
 #include <limits>
 #include <vector>
 
@@ -333,6 +337,94 @@ struct Token {
   int eligible_period;  ///< pipelining: send starts the period after compute
 };
 
+bool same_bits(double a, double b) {
+  return std::bit_cast<std::uint64_t>(a) == std::bit_cast<std::uint64_t>(b);
+}
+
+/// Brent's cycle detection over the simulator's state at period boundaries,
+/// normalized by the period (DESIGN.md §8): result counters as offsets from
+/// the period, partial progress and token payloads by bit pattern, tokens in
+/// FIFO order with their eligibility relative to the period.  One saved
+/// snapshot is compared against every boundary and re-saved at power-of-two
+/// distances, so a transient of mu periods and a cycle of L periods are
+/// found after at most ~2 max(mu, L) + L boundaries.
+class CycleDetector {
+ public:
+  /// Feeds the state at the start of `period`; returns the cycle length L
+  /// once it equals the saved snapshot L periods later, else 0.
+  int observe(int period, const std::vector<double>& computed,
+              const std::vector<double>& delivered,
+              const std::vector<double>& progress,
+              const std::vector<Token>& in_transit) {
+    if (saved_period_ < 0) {
+      save(period, computed, delivered, progress, in_transit);
+      return 0;
+    }
+    const int distance = period - saved_period_;
+    if (matches(period, computed, delivered, progress, in_transit)) {
+      return distance;
+    }
+    if (distance == power_) {
+      save(period, computed, delivered, progress, in_transit);
+      power_ *= 2;
+    }
+    return 0;
+  }
+
+ private:
+  void save(int period, const std::vector<double>& computed,
+            const std::vector<double>& delivered,
+            const std::vector<double>& progress,
+            const std::vector<Token>& in_transit) {
+    saved_period_ = period;
+    const double p = static_cast<double>(period);
+    computed_.resize(computed.size());
+    for (std::size_t o = 0; o < computed.size(); ++o) {
+      computed_[o] = computed[o] - p;
+    }
+    delivered_.resize(delivered.size());
+    for (std::size_t e = 0; e < delivered.size(); ++e) {
+      delivered_[e] = delivered[e] - p;
+    }
+    progress_ = progress;
+    tokens_ = in_transit;
+    for (Token& t : tokens_) t.eligible_period -= period;
+  }
+
+  /// Cheapest mismatches first: during the transient the token count or a
+  /// not-yet-steady counter almost always differs.
+  bool matches(int period, const std::vector<double>& computed,
+               const std::vector<double>& delivered,
+               const std::vector<double>& progress,
+               const std::vector<Token>& in_transit) const {
+    if (in_transit.size() != tokens_.size()) return false;
+    const double p = static_cast<double>(period);
+    for (std::size_t o = 0; o < computed.size(); ++o) {
+      if (computed[o] - p != computed_[o]) return false;
+    }
+    for (std::size_t e = 0; e < delivered.size(); ++e) {
+      if (delivered[e] - p != delivered_[e]) return false;
+    }
+    for (std::size_t o = 0; o < progress.size(); ++o) {
+      if (!same_bits(progress[o], progress_[o])) return false;
+    }
+    for (std::size_t i = 0; i < tokens_.size(); ++i) {
+      const Token& t = in_transit[i];
+      if (t.edge != tokens_[i].edge ||
+          t.eligible_period - period != tokens_[i].eligible_period ||
+          !same_bits(t.remaining, tokens_[i].remaining)) {
+        return false;
+      }
+    }
+    return true;
+  }
+
+  int saved_period_ = -1;
+  int power_ = 1;
+  std::vector<double> computed_, delivered_, progress_;
+  std::vector<Token> tokens_;
+};
+
 EventSimResult run_sparse(const Problem& problem, const SimStaticPlan& plan) {
   const OperatorTree& tree = *problem.tree;
   const auto n_ops = static_cast<std::size_t>(plan.n_ops);
@@ -343,7 +435,7 @@ EventSimResult run_sparse(const Problem& problem, const SimStaticPlan& plan) {
   int first_output_period = -1;
 
   if (plan.cfg.periods <= 0 || plan.unassigned_ops) {
-    return simdetail::finalize_result(problem, plan, {}, {}, -1);
+    return simdetail::finalize_result(problem, plan, {}, {}, -1, 0);
   }
 
   // Result counters live in doubles: every value is an exact integer far
@@ -404,9 +496,48 @@ EventSimResult run_sparse(const Problem& problem, const SimStaticPlan& plan) {
   in_transit.reserve(token_capacity);
   next_transit.reserve(token_capacity);
 
+  // Steady-state fast-forward (DESIGN.md §8).  Once the normalized boundary
+  // state repeats after L periods, every later period is the one L earlier
+  // shifted by L, so whole cycles are skipped by adding a multiple of L to
+  // every counter.  A jump lands at most on the next boundary the
+  // measurement reads — the warmup snapshot, then the end of the window —
+  // and the remainder is simulated.  No repeat: the full window runs.
+  // Detection starts once every root has produced: a repeat needs every
+  // counter to advance, so no earlier boundary can match.
+  CycleDetector detector;
+  int cycle = 0;  ///< detected cycle length in periods (0: none yet)
+  int simulated = 0;
+  std::size_t roots_started = 0;  ///< roots with at least one output
+
   const int bound = plan.cfg.max_results_ahead;
   for (int period = 0; period < plan.cfg.periods; ++period) {
+    if (cycle == 0 && roots_started == n_roots) {
+      cycle = detector.observe(period, computed, delivered, progress,
+                               in_transit);
+    }
+    if (cycle > 0) {
+      // At the warmup boundary itself the target stays put until the
+      // snapshot below is taken.
+      const int target =
+          period <= plan.cfg.warmup ? plan.cfg.warmup : plan.cfg.periods;
+      const int shift = (target - period) / cycle * cycle;
+      if (shift > 0) {
+        // computed_at_start equals computed at a boundary, and each root's
+        // output count equals its computed counter, so all move together.
+        const double dshift = static_cast<double>(shift);
+        for (std::size_t o = 0; o < n_ops; ++o) {
+          computed[o] += dshift;
+          computed_at_start[o] += dshift;
+        }
+        for (double& d : delivered) d += dshift;
+        for (long long& r : root_produced) r += shift;
+        for (Token& t : in_transit) t.eligible_period += shift;
+        period += shift;
+        if (period == plan.cfg.periods) break;
+      }
+    }
     if (period == plan.cfg.warmup) root_at_warmup = root_produced;
+    ++simulated;
 
     // ---- Compute phase (start-of-period snapshot: one-period stage
     //      latency, matching the paper's pipelined execution model). -------
@@ -433,7 +564,7 @@ EventSimResult run_sparse(const Problem& problem, const SimStaticPlan& plan) {
     // Per-op cap: one result per period, backpressure toward the slowest
     // consumer, inputs ready.  Scalar over the out CSR (the retired
     // gather/blend kernel lost to this autovectorized form; see
-    // docs/ROADMAP.md).
+    // ROADMAP.md).
     {
       const double period_cap = static_cast<double>(period) + 1.0;
       const double dbound = static_cast<double>(bound);
@@ -477,7 +608,10 @@ EventSimResult run_sparse(const Problem& problem, const SimStaticPlan& plan) {
         if (computed[o] == computed_at_start[o]) dirty.push_back(op);
         computed[o] += 1.0;
         if (plan.root_index[o] >= 0) {
-          ++root_produced[static_cast<std::size_t>(plan.root_index[o])];
+          if (++root_produced[static_cast<std::size_t>(plan.root_index[o])] ==
+              1) {
+            ++roots_started;
+          }
           if (first_output_period < 0) first_output_period = period;
         } else {
           // One shipment per crossing lane: remote consumers sharing a
@@ -539,7 +673,8 @@ EventSimResult run_sparse(const Problem& problem, const SimStaticPlan& plan) {
   }
 
   return simdetail::finalize_result(problem, plan, root_produced,
-                                    root_at_warmup, first_output_period);
+                                    root_at_warmup, first_output_period,
+                                    simulated);
 }
 
 } // namespace

@@ -36,7 +36,11 @@
 namespace insp {
 
 struct EventSimConfig {
-  int periods = 400;  ///< simulated periods (period = 1/rho seconds)
+  /// The window the result is defined over, in periods (period = 1/rho
+  /// seconds).  It fixes the verdict, not the work done: once the state
+  /// repeats, the sparse core skips whole cycles the repeat already
+  /// determines (EventSimResult::periods_simulated, DESIGN.md §8).
+  int periods = 400;
   /// Periods excluded from the throughput measurement.  -1 (default) derives
   /// the warmup from the allocation's pipeline fill time — a crossing edge
   /// adds ~2 periods of latency, a co-located edge 1 — so deep pipelines are
@@ -77,6 +81,11 @@ struct EventSimResult {
   /// The values actually used after auto-derivation/clamping.
   int warmup_periods_used = 0;
   int max_results_ahead_used = 0;
+  /// Periods actually executed.  The sparse core fast-forwards over whole
+  /// steady-state cycles, so a plan that settles reports fewer than the
+  /// window; the dense reference always runs the full window.  An output
+  /// only: every other field is identical to a full-window run.
+  int periods_simulated = 0;
 };
 
 /// Sparse core, healthy platform (every server up, uniform links).

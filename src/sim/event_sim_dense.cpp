@@ -40,7 +40,7 @@ EventSimResult simulate_allocation_dense_reference(
   const auto n_procs = static_cast<std::size_t>(plan.n_procs);
 
   if (plan.cfg.periods <= 0 || plan.unassigned_ops) {
-    return simdetail::finalize_result(problem, plan, {}, {}, -1);
+    return simdetail::finalize_result(problem, plan, {}, {}, -1, 0);
   }
 
   const auto bottom_up = tree.bottom_up_order();
@@ -163,7 +163,8 @@ EventSimResult simulate_allocation_dense_reference(
   }
 
   return simdetail::finalize_result(problem, plan, root_produced,
-                                    root_at_warmup, first_output_period);
+                                    root_at_warmup, first_output_period,
+                                    plan.cfg.periods);
 }
 
 } // namespace insp

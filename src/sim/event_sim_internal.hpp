@@ -98,12 +98,13 @@ inline EventSimResult finalize_result(
     const Problem& problem, const SimStaticPlan& plan,
     const std::vector<long long>& root_produced,
     const std::vector<long long>& root_produced_at_warmup,
-    int first_output_period) {
+    int first_output_period, int periods_simulated) {
   EventSimResult out;
   out.degenerate_config = plan.cfg.degenerate;
   out.warmup_periods_used = plan.cfg.warmup;
   out.max_results_ahead_used = plan.cfg.max_results_ahead;
   out.first_output_period = first_output_period;
+  out.periods_simulated = periods_simulated;
   if (plan.cfg.periods <= 0 || root_produced.empty()) return out;
   const int measured = std::max(1, plan.cfg.periods - plan.cfg.warmup);
   long long min_after_warmup = -1;

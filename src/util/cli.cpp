@@ -1,9 +1,27 @@
 #include "util/cli.hpp"
 
 #include <algorithm>
+#include <cerrno>
+#include <cmath>
+#include <cstdio>
 #include <cstdlib>
 
 namespace insp {
+
+namespace {
+
+/// A value that does not parse in full, or does not fit, is a usage error:
+/// `--reps 1O` must not silently run one repetition.
+[[noreturn]] void reject_value(const std::string& program,
+                               const std::string& name,
+                               const std::string& value,
+                               const char* expected) {
+  std::fprintf(stderr, "%s: --%s expects %s, got '%s'\n", program.c_str(),
+               name.c_str(), expected, value.c_str());
+  std::exit(2);
+}
+
+} // namespace
 
 CliArgs::CliArgs(int argc, const char* const* argv) {
   if (argc > 0) program_ = argv[0];
@@ -37,12 +55,28 @@ std::string CliArgs::get(const std::string& name,
 
 long long CliArgs::get_int(const std::string& name, long long def) const {
   auto it = options_.find(name);
-  return it == options_.end() ? def : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == options_.end()) return def;
+  const char* s = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long v = std::strtoll(s, &end, 10);
+  if (end == s || *end != '\0' || errno == ERANGE) {
+    reject_value(program_, name, it->second, "an integer");
+  }
+  return v;
 }
 
 double CliArgs::get_double(const std::string& name, double def) const {
   auto it = options_.find(name);
-  return it == options_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  if (it == options_.end()) return def;
+  const char* s = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const double v = std::strtod(s, &end);
+  if (end == s || *end != '\0' || errno == ERANGE || !std::isfinite(v)) {
+    reject_value(program_, name, it->second, "a finite number");
+  }
+  return v;
 }
 
 bool CliArgs::get_bool(const std::string& name, bool def) const {
@@ -55,8 +89,17 @@ bool CliArgs::get_bool(const std::string& name, bool def) const {
 std::uint64_t CliArgs::get_u64(const std::string& name,
                                std::uint64_t def) const {
   auto it = options_.find(name);
-  return it == options_.end() ? def
-                              : std::strtoull(it->second.c_str(), nullptr, 10);
+  if (it == options_.end()) return def;
+  const char* s = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const unsigned long long v = std::strtoull(s, &end, 10);
+  // strtoull accepts a sign and wraps "-1" to the maximum; refuse both.
+  if (end == s || *end != '\0' || errno == ERANGE ||
+      it->second.find_first_of("+-") != std::string::npos) {
+    reject_value(program_, name, it->second, "a non-negative integer");
+  }
+  return v;
 }
 
 std::vector<std::string> CliArgs::unknown(

@@ -15,6 +15,8 @@ class CliArgs {
 
   bool has(const std::string& name) const;
   std::string get(const std::string& name, const std::string& def) const;
+  /// Numeric getters: a value that is malformed (`1O`, `abc`, empty) or out
+  /// of range is a usage error — a message on stderr and exit code 2.
   long long get_int(const std::string& name, long long def) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;

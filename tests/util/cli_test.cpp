@@ -57,5 +57,45 @@ TEST(Cli, FlagFollowedByFlagHasTrueValue) {
   EXPECT_EQ(args.get_int("b", 0), 7);
 }
 
+// Death tests: a malformed or out-of-range numeric value is a usage error
+// (exit 2), never a silent fallback to whatever prefix strto* accepted.
+TEST(CliDeathTest, MalformedIntegerIsAUsageError) {
+  EXPECT_EXIT(make({"prog", "--reps", "1O"}).get_int("reps", 5),
+              ::testing::ExitedWithCode(2), "--reps expects an integer");
+  EXPECT_EXIT(make({"prog", "--reps="}).get_int("reps", 5),
+              ::testing::ExitedWithCode(2), "--reps");
+  EXPECT_EXIT(make({"prog", "--reps", "--smoke"}).get_int("reps", 5),
+              ::testing::ExitedWithCode(2), "got 'true'");
+  EXPECT_EXIT(make({"prog", "--n", "99999999999999999999"}).get_int("n", 0),
+              ::testing::ExitedWithCode(2), "--n");
+}
+
+TEST(CliDeathTest, MalformedSeedIsAUsageError) {
+  EXPECT_EXIT(make({"prog", "--seed", "abc"}).get_u64("seed", 42),
+              ::testing::ExitedWithCode(2), "--seed expects");
+  EXPECT_EXIT(make({"prog", "--seed", "-1"}).get_u64("seed", 42),
+              ::testing::ExitedWithCode(2), "--seed");
+  EXPECT_EXIT(
+      make({"prog", "--seed", "99999999999999999999"}).get_u64("seed", 42),
+      ::testing::ExitedWithCode(2), "--seed");
+}
+
+TEST(CliDeathTest, MalformedDoubleIsAUsageError) {
+  EXPECT_EXIT(make({"prog", "--alpha", "1.7x"}).get_double("alpha", 1.0),
+              ::testing::ExitedWithCode(2), "--alpha expects a finite number");
+  EXPECT_EXIT(make({"prog", "--alpha", "1e999"}).get_double("alpha", 1.0),
+              ::testing::ExitedWithCode(2), "--alpha");
+  EXPECT_EXIT(make({"prog", "--alpha", "nan"}).get_double("alpha", 1.0),
+              ::testing::ExitedWithCode(2), "--alpha");
+}
+
+TEST(Cli, WellFormedNumbersStillParse) {
+  auto args = make({"prog", "--n", "-3", "--seed", "18446744073709551615",
+                    "--alpha", "2.5e-1"});
+  EXPECT_EQ(args.get_int("n", 0), -3);
+  EXPECT_EQ(args.get_u64("seed", 0), 18446744073709551615ull);
+  EXPECT_DOUBLE_EQ(args.get_double("alpha", 0.0), 0.25);
+}
+
 } // namespace
 } // namespace insp
