@@ -98,11 +98,13 @@ inline BenchFlags parse_flags(int argc, char** argv, int default_reps = 20,
   return f;
 }
 
-/// Exits with a usage error (2) if any option outside `known` was given, so
-/// a mistyped flag cannot silently fall back to its default.
+/// Exits with a usage error (2) if any option outside parse_flags' standard
+/// flags and the bench's own `extra` flags was given, so a mistyped flag
+/// cannot silently fall back to its default.
 inline void reject_unknown_flags(const CliArgs& args,
-                                 const std::vector<std::string>& known) {
-  const std::vector<std::string> unknown = args.unknown(known);
+                                 std::vector<std::string> extra) {
+  extra.insert(extra.end(), {"reps", "seed", "csv", "threads", "heuristics"});
+  const std::vector<std::string> unknown = args.unknown(extra);
   if (unknown.empty()) return;
   for (const std::string& name : unknown) {
     std::fprintf(stderr, "%s: unknown flag --%s\n", args.program().c_str(),

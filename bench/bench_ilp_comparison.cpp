@@ -82,6 +82,7 @@ int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const BenchFlags flags =
       parse_flags(argc, argv, /*default_reps=*/10, /*accepts_heuristics=*/false);
+  reject_unknown_flags(args, {"json", "smoke", "gate", "nmax"});
   const std::string json_path = args.get("json", "BENCH_ilp.json");
   const bool smoke = args.get_bool("smoke", false);
   const bool gate = args.get_bool("gate", false);

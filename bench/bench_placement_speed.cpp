@@ -17,7 +17,6 @@
 
 #include "bench_common.hpp"
 #include "core/placement_state.hpp"
-#include "util/simd.hpp"
 
 using namespace insp;
 using namespace insp::benchx;
@@ -146,13 +145,6 @@ struct AllocateTiming {
   int failures = 0;
 };
 
-/// Per-ISA row: the same batched sweep forced through one dispatch path
-/// (docs/DESIGN.md §11); the deep per-kernel story lives in bench_kernel.
-struct IsaRow {
-  simd::Isa isa = simd::Isa::kScalar;
-  double soa_probe_throughput = 0.0;
-};
-
 struct SizeResult {
   int num_operators = 0;
   int live_processors = 0;
@@ -163,7 +155,6 @@ struct SizeResult {
   double scalar_scan_throughput = 0.0; ///< same matrix, scalar can_place
   double speedup_vs_scalar = 0.0;
   bool verdicts_match = false;
-  std::vector<IsaRow> isa_rows;
   std::vector<AllocateTiming> allocate;
 };
 
@@ -199,16 +190,6 @@ void write_json(const std::string& path, std::uint64_t seed,
                  r.speedup_vs_scalar);
     std::fprintf(f, "      \"verdicts_match\": %s,\n",
                  r.verdicts_match ? "true" : "false");
-    std::fprintf(f, "      \"isa_rows\": [\n");
-    for (std::size_t j = 0; j < r.isa_rows.size(); ++j) {
-      const IsaRow& row = r.isa_rows[j];
-      std::fprintf(f,
-                   "        {\"isa\": \"%s\", \"soa_probe_throughput\": "
-                   "%.1f}%s\n",
-                   simd::to_string(row.isa), row.soa_probe_throughput,
-                   j + 1 < r.isa_rows.size() ? "," : "");
-    }
-    std::fprintf(f, "      ],\n");
     std::fprintf(f, "      \"hardware_concurrency\": %u,\n", hardware);
     std::fprintf(f, "      \"allocate\": [\n");
     for (std::size_t j = 0; j < r.allocate.size(); ++j) {
@@ -231,6 +212,7 @@ void write_json(const std::string& path, std::uint64_t seed,
 int main(int argc, char** argv) {
   CliArgs args(argc, argv);
   const BenchFlags flags = parse_flags(argc, argv, /*default_reps=*/5);
+  reject_unknown_flags(args, {"json", "smoke"});
   const std::string json_path = args.get("json", "BENCH_placement.json");
   const bool smoke = args.get_bool("smoke", false);
 
@@ -312,20 +294,6 @@ int main(int argc, char** argv) {
                                                    scan_rounds);
     r.speedup_vs_scalar = r.soa_probe_throughput / r.scalar_scan_throughput;
 
-    // The same batched sweep once per dispatch path the host can run.
-    for (simd::Isa isa :
-         {simd::Isa::kScalar, simd::Isa::kSse2, simd::Isa::kAvx2}) {
-      if (isa > simd::detected_isa()) continue;
-      simd::set_forced_isa(isa);
-      measure_soa_batch(st, set, all_live, 200);  // warm this path
-      IsaRow row;
-      row.isa = isa;
-      row.soa_probe_throughput =
-          measure_soa_batch(st, set, all_live, batch_rounds);
-      simd::clear_forced_isa();
-      r.isa_rows.push_back(row);
-    }
-
     for (HeuristicKind k : kinds) {
       AllocateTiming t;
       t.name = heuristic_name(k);
@@ -348,10 +316,6 @@ int main(int argc, char** argv) {
                 "cand/s   speedup %6.1fx   verdicts %s\n",
                 r.soa_probe_throughput, r.scalar_scan_throughput,
                 r.speedup_vs_scalar, r.verdicts_match ? "match" : "MISMATCH");
-    for (const IsaRow& row : r.isa_rows) {
-      std::printf("        isa %-7s %13.0f cand/s\n",
-                  simd::to_string(row.isa), row.soa_probe_throughput);
-    }
     for (const AllocateTiming& a : r.allocate) {
       std::printf("        allocate %-22s %8.3f ms/run (%d failures)\n",
                   a.name.c_str(), a.mean_ms, a.failures);

@@ -211,8 +211,7 @@ int main(int argc, char** argv) {
   const BenchFlags flags =
       parse_flags(argc, argv, /*default_reps=*/10,
                   /*accepts_heuristics=*/false);
-  reject_unknown_flags(args,
-                       {"reps", "seed", "csv", "threads", "json", "smoke"});
+  reject_unknown_flags(args, {"json", "smoke"});
   const std::string json_path = args.get("json", "BENCH_sim.json");
   const bool smoke = args.get_bool("smoke", false);
 

@@ -56,11 +56,6 @@ REQUIRED_ROW_KEYS = {
         "events_per_sec", "p50_ms", "p99_ms", "speedup_vs_1worker",
         "hardware_concurrency", "signatures_match",
     },
-    "kernel": {
-        "isa", "kernel_throughput", "batch_throughput",
-        "sim_caps_throughput", "speedup_vs_scalar", "verdicts_match",
-        "allocations_per_probe",
-    },
     "chaos": {
         "chaos_class", "faults", "truth_down", "detected", "detection_rate",
         "mean_detection_beats", "median_repair_ms", "mean_recovery_beats",

@@ -1,7 +1,5 @@
 #include "core/placement_soa.hpp"
 
-#include "util/simd_kernels.hpp"
-
 namespace insp {
 
 void soa_probe_candidates(const PlacementSoA& soa, const BatchFootprint& fp,
@@ -9,34 +7,55 @@ void soa_probe_candidates(const PlacementSoA& soa, const BatchFootprint& fp,
                           const double* dl_add, const double* link_base,
                           const double* link_pre, std::size_t stride,
                           const unsigned char* skip, unsigned char* verdicts) {
-  simdk::ProbeBatchArgs a;
-  a.speed_cap = soa.speed_cap.data();
-  a.bw_cap = soa.bw_cap.data();
-  a.work = soa.work.data();
-  a.nic = soa.nic.data();
-  a.work0 = soa.work0.data();
-  a.nic0 = soa.nic0.data();
-  a.vol_to = soa.vol_to.data();
-  a.pids = pids;
-  a.num = num;
-  a.dl_add = dl_add;
-  a.link_base = link_base;
-  a.link_pre = link_pre;
-  a.stride = stride;
-  a.ext_pid = fp.ext_pid.data();
-  a.ext_vol = fp.ext_vol.data();
-  a.ext = fp.ext_pid.size();
-  a.skip = skip;
-  a.rho = fp.rho;
-  a.sum_w = fp.sum_w;
-  a.ext_total = fp.ext_total;
-  a.link_cap = fp.link_cap;
-  a.relaxed = fp.relaxed;
-  a.others_failed = fp.others_failed;
-  a.others_failed_pid = fp.others_failed_pid;
-  a.base_links_ok = fp.base_links_ok;
-  a.verdicts = verdicts;
-  simdk::active_kernels()->probe_candidates(a);
+  // Hoisted into locals: the unsigned-char verdict stores may alias any
+  // object, so fields read through fp/soa would be reloaded every candidate.
+  const double* speed_cap = soa.speed_cap.data();
+  const double* bw_cap = soa.bw_cap.data();
+  const double* work = soa.work.data();
+  const double* nic0 = soa.nic0.data();
+  const double* work0 = soa.work0.data();
+  const double* nic_base = soa.nic.data();
+  const double* vol_to = soa.vol_to.data();
+  const int* ext_pid = fp.ext_pid.data();
+  const double* ext_vol = fp.ext_vol.data();
+  const std::size_t ext = fp.ext_pid.size();
+  const double rho = fp.rho;
+  const double sum_w = fp.sum_w;
+  const double ext_total = fp.ext_total;
+  const double link_cap = fp.link_cap;
+  const bool relaxed = fp.relaxed;
+  const bool others_ok = fp.others_failed == 0 && fp.base_links_ok;
+  const bool one_other_failed = fp.others_failed == 1 && fp.base_links_ok;
+  const int others_failed_pid = fp.others_failed_pid;
+  for (std::size_t i = 0; i < num; ++i) {
+    if (skip != nullptr && skip[i] != 0) continue;
+    const int pid = pids[i];
+
+    // Every touched processor other than the candidate must pass; the
+    // candidate replaces its own folded entry with the richer check below.
+    bool ok = others_ok || (one_other_failed && others_failed_pid == pid);
+
+    // CPU: the whole group lands on the candidate.
+    const double cpu = rho * (work[pid] + sum_w);
+    ok = ok && (fits_within(cpu, speed_cap[pid]) ||
+                (relaxed && fits_within(cpu, rho * work0[pid])));
+
+    // NIC: added downloads plus the external edge volume that actually
+    // crosses (edges toward the candidate itself become internal).
+    const double nic = nic_base[pid] + dl_add[i] + (ext_total - vol_to[pid]);
+    ok = ok && (fits_within(nic, bw_cap[pid]) ||
+                (relaxed && fits_within(nic, nic0[pid])));
+
+    // Pairwise links toward each external neighbor processor.
+    for (std::size_t j = 0; ok && j < ext; ++j) {
+      if (ext_pid[j] == pid) continue;
+      const double used = link_base[j * stride + i] + ext_vol[j];
+      ok = fits_within(used, link_cap) ||
+           (relaxed && fits_within(used, link_pre[j * stride + i]));
+    }
+
+    verdicts[i] = ok ? 1 : 0;
+  }
 }
 
 void soa_probe_configs(const BatchFootprint& fp, const double* speed_caps,
@@ -44,8 +63,8 @@ void soa_probe_configs(const BatchFootprint& fp, const double* speed_caps,
                        unsigned char* verdicts) {
   // A fresh processor is empty: every group type is downloaded, every
   // external edge crosses, and every candidate-side link starts at zero.
-  // The candidate-independent parts collapse to one flag (folded scalar —
-  // O(ext), not O(num)); only the per-config capacity sweep dispatches.
+  // The candidate-independent parts collapse to one flag (O(ext), not
+  // O(num)); the per-config sweep is then two comparisons per candidate.
   double dl_all = 0.0;
   for (double r : fp.gtype_rate) dl_all += r;
   bool shared_ok = fp.others_failed == 0 && fp.base_links_ok;
@@ -53,15 +72,14 @@ void soa_probe_configs(const BatchFootprint& fp, const double* speed_caps,
     // Link pre-transaction value is zero too, so relaxed == strict here.
     shared_ok = fits_within(fp.ext_vol[j], fp.link_cap);
   }
-  simdk::ProbeConfigsArgs a;
-  a.speed_caps = speed_caps;
-  a.bw_caps = bw_caps;
-  a.num = num;
-  a.cpu = fp.rho * fp.sum_w;
-  a.nic = dl_all + fp.ext_total;
-  a.shared_ok = shared_ok;
-  a.verdicts = verdicts;
-  simdk::active_kernels()->probe_configs(a);
+  const double cpu = fp.rho * fp.sum_w;
+  const double nic = dl_all + fp.ext_total;
+  for (std::size_t i = 0; i < num; ++i) {
+    verdicts[i] = (shared_ok && fits_within(cpu, speed_caps[i]) &&
+                   fits_within(nic, bw_caps[i]))
+                      ? 1
+                      : 0;
+  }
 }
 
 } // namespace insp

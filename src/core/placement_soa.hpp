@@ -108,14 +108,12 @@ struct BatchFootprint {
   bool base_links_ok = true;
 };
 
-/// Evaluates `num` live candidate processors in one flat pass, through the
-/// runtime-dispatched SIMD kernels (util/simd_kernels.hpp: scalar/SSE2/AVX2,
-/// element-wise identical verdicts on every path).
+/// Evaluates `num` live candidate processors in one flat pass.
 ///   dl_add[i]             — download rate candidate i would gain (the
 ///                           caller resolves object-type presence);
 ///   link_base[j*stride+i] — baseline usage of link (pids[i], ext_pid[j]);
-///                           COLUMN-major so a vector block of candidates
-///                           loads contiguously (stride is normally num);
+///                           COLUMN-major so consecutive candidates read
+///                           contiguously (stride is normally num);
 ///   link_pre [j*stride+i] — pre-transaction usage of the same link (relaxed
 ///                           verdicts only; may be null in strict mode);
 ///   skip[i]               — non-zero entries are left untouched (the caller

@@ -706,8 +706,8 @@ void PlacementState::batch_probe(const int* ops, std::size_t n,
   }
 
   // Baseline (and, relaxed, pre-transaction) usage of every candidate<->ext
-  // link, column-major [ext][candidate] (stride = num) so the SIMD kernel's
-  // candidate blocks load contiguously.
+  // link, column-major [ext][candidate] (stride = num) so the probe loop
+  // reads each neighbor's column contiguously.
   const std::size_t ext = fp_.ext_pid.size();
   batch_link_base_.assign(num * ext, 0.0);
   batch_link_pre_.assign(relaxed ? num * ext : 0, 0.0);

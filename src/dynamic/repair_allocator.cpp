@@ -7,7 +7,6 @@
 #include "core/local_search.hpp"
 #include "core/server_selection.hpp"
 #include "util/log.hpp"
-#include "util/thread_pool.hpp"
 
 namespace insp {
 
@@ -153,24 +152,6 @@ bool first_fit_relaxed(PlacementState& state, int op,
   return false;
 }
 
-/// Per-thread scratch for the repair loops.  repair_violations_plan is const
-/// and races on several worker threads during speculative repair, so the
-/// buffers must be thread_local rather than members; each worker's vectors
-/// reach steady-state capacity after the first round and every later round
-/// reuses them without touching the heap.
-struct RepairScratch {
-  std::vector<int> over_procs;
-  std::vector<std::pair<int, int>> over_links;
-  std::vector<std::pair<double, int>> keyed;
-  std::vector<int> cands;
-  std::vector<int> order;
-};
-
-RepairScratch& repair_scratch() {
-  thread_local RepairScratch scratch;
-  return scratch;
-}
-
 } // namespace
 
 bool DynamicAllocator::place_unassigned(RepairReport& report) {
@@ -178,7 +159,7 @@ bool DynamicAllocator::place_unassigned(RepairReport& report) {
   // (first-fit then naturally gravitates toward realized neighbors'
   // processors via the link budget).  The relaxed probe is used so an
   // earlier failed event (degraded state) cannot veto unrelated placements.
-  std::vector<int>& order = repair_scratch().order;
+  std::vector<int>& order = scratch_.order;
   order.clear();
   for (int op : forest_.bottom_up_order()) {
     if (state_->proc_of(op) == kNoNode) order.push_back(op);
@@ -203,13 +184,12 @@ bool DynamicAllocator::place_unassigned(RepairReport& report) {
   return true;
 }
 
-bool DynamicAllocator::repair_violations_plan(PlacementState& state,
-                                              RepairReport& report,
-                                              int plan_index) const {
+bool DynamicAllocator::repair_violations(RepairReport& report) {
+  PlacementState& state = *state_;
   const int max_rounds = opt_.max_repair_rounds > 0
                              ? opt_.max_repair_rounds
                              : 4 * state.num_live_processors() + 16;
-  RepairScratch& sc = repair_scratch();
+  RepairScratch& sc = scratch_;
   for (int round = 0; round < max_rounds; ++round) {
     state.overloaded_processors(sc.over_procs);
     state.overloaded_links(sc.over_links);
@@ -218,18 +198,14 @@ bool DynamicAllocator::repair_violations_plan(PlacementState& state,
     if (over_procs.empty() && over_links.empty()) return true;
 
     // Target the lowest overloaded processor; when only links are violated,
-    // drain the endpoint carrying more traffic.  Speculative plans rotate
-    // both choices by their index (plan 0 is the sequential engine).
+    // drain the endpoint carrying more traffic.
     int target;
     bool proc_violation = !over_procs.empty();
     if (proc_violation) {
-      target = over_procs[static_cast<std::size_t>(plan_index) %
-                          over_procs.size()];
+      target = over_procs.front();
     } else {
       const auto [a, b] = over_links.front();
-      const bool heavier_a = state.comm_load(a) >= state.comm_load(b);
-      const bool flip = plan_index % 2 == 1;
-      target = heavier_a != flip ? a : b;
+      target = state.comm_load(a) >= state.comm_load(b) ? a : b;
     }
 
     // Move 1 — re-purchase in place: the cheapest catalog configuration
@@ -271,11 +247,6 @@ bool DynamicAllocator::repair_violations_plan(PlacementState& state,
     std::sort(keyed.begin(), keyed.end(), [](const auto& x, const auto& y) {
       return x.first != y.first ? x.first > y.first : x.second < y.second;
     });
-    if (plan_index > 0 && keyed.size() > 1) {
-      std::rotate(keyed.begin(),
-                  keyed.begin() + plan_index % static_cast<int>(keyed.size()),
-                  keyed.end());
-    }
 
     bool moved = false;
     for (const auto& [key, op] : keyed) {
@@ -318,58 +289,6 @@ bool DynamicAllocator::repair_violations_plan(PlacementState& state,
   }
   report.failure_reason = "repair: round limit exhausted";
   return false;
-}
-
-bool DynamicAllocator::repair_violations(RepairReport& report) {
-  if (opt_.speculative_plans <= 1) {
-    return repair_violations_plan(*state_, report, 0);
-  }
-  // Speculative parallel repair: race k candidate plans on independent
-  // copies of the live state.  Each plan is fully deterministic given its
-  // index, and the winner is picked by a total order on the finished
-  // results after all plans have joined — so the committed state is
-  // bit-identical for any worker-thread count.
-  const std::size_t k = static_cast<std::size_t>(opt_.speculative_plans);
-  std::vector<PlacementState> states(k, *state_);
-  std::vector<RepairReport> reports(k, report);
-  std::vector<unsigned char> succeeded(k, 0);
-  ThreadPool::parallel_for(
-      k, ThreadPool::resolve_num_threads(opt_.speculative_threads),
-      [&](std::size_t j) {
-        succeeded[j] = repair_violations_plan(states[j], reports[j],
-                                              static_cast<int>(j))
-                           ? 1
-                           : 0;
-      });
-  // Winner: cheapest projected fleet, then least disruption, then lowest
-  // plan index (ascending scan keeps the first of equals).
-  auto fleet_cost = [&](std::size_t j) {
-    Dollars c = 0.0;
-    for (int pid : states[j].live_processors()) {
-      c += catalog_.cost(states[j].config(pid));
-    }
-    return c;
-  };
-  std::size_t best = k;
-  Dollars best_cost = 0.0;
-  int best_moved = 0;
-  for (std::size_t j = 0; j < k; ++j) {
-    if (!succeeded[j]) continue;
-    const Dollars c = fleet_cost(j);
-    const int moved = reports[j].ops_moved;
-    if (best == k || c < best_cost - 1e-9 ||
-        (c < best_cost + 1e-9 && moved < best_moved)) {
-      best = j;
-      best_cost = c;
-      best_moved = moved;
-    }
-  }
-  // On total failure commit plan 0's trajectory so the failure path (and
-  // the scratch fallback that follows it) stays reproducible.
-  const std::size_t commit = best == k ? 0 : best;
-  *state_ = std::move(states[commit]);
-  report = std::move(reports[commit]);
-  return best != k;
 }
 
 void DynamicAllocator::consolidate(RepairReport& report) {

@@ -29,6 +29,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/allocator.hpp"
@@ -54,17 +55,6 @@ struct RepairOptions {
   /// "what the static paper pipeline would do" yardstick bench_dynamic
   /// measures repair latency and disruption against.
   bool always_fallback = false;
-  /// Speculative parallel repair (docs/DESIGN.md §10): evaluate this many
-  /// candidate repair plans concurrently on copies of the placement state
-  /// (plan j perturbs the drain target and the eviction order by its index)
-  /// and commit the deterministic best, ranked by (success, projected cost,
-  /// operators moved, plan index) — bit-identical for any thread count.
-  /// 0 or 1 keeps the single sequential plan, byte-for-byte the
-  /// pre-speculative engine.
-  int speculative_plans = 0;
-  /// Worker threads for the speculative evaluation; 0 = hardware
-  /// concurrency.
-  unsigned speculative_threads = 0;
 };
 
 /// Machine-readable verdict of the event-precondition checks apply() runs
@@ -161,16 +151,8 @@ class DynamicAllocator {
   /// Places every unassigned operator (arrivals) first-fit; buys when
   /// nothing fits.  Returns false when some operator fits nowhere.
   bool place_unassigned(RepairReport& report);
-  /// Drains overloaded processors/links with reconfigure+evict moves.
-  /// Dispatches to the single sequential plan, or — with
-  /// speculative_plans > 1 — to the parallel plan race.
+  /// Drains overloaded processors/links with reconfigure+evict+buy moves.
   bool repair_violations(RepairReport& report);
-  /// One candidate repair trajectory.  plan_index 0 is the sequential
-  /// engine's exact move order; higher indices rotate the drain target and
-  /// the eviction order.  Mutates only `state` and `report`, so plans can
-  /// run concurrently on independent state copies.
-  bool repair_violations_plan(PlacementState& state, RepairReport& report,
-                              int plan_index) const;
   /// Merge pass + cheapest-meeting re-pricing on the feasible state.
   void consolidate(RepairReport& report);
   /// Full from-scratch re-allocation of the current problem.
@@ -195,6 +177,16 @@ class DynamicAllocator {
   OperatorTree forest_;                   // folded (rho baked into demands)
   std::vector<int> op_app_slot_;          // forest op -> index into apps_
   std::optional<PlacementState> state_;
+  /// Reused buffers of the repair loops: they reach steady-state capacity
+  /// after the first round, so later rounds never touch the heap.
+  struct RepairScratch {
+    std::vector<int> over_procs;
+    std::vector<std::pair<int, int>> over_links;
+    std::vector<std::pair<double, int>> keyed;
+    std::vector<int> cands;
+    std::vector<int> order;
+  };
+  RepairScratch scratch_;
   Allocation alloc_;
   Rng rng_;
   bool initialized_ = false;

@@ -62,10 +62,7 @@ struct ServiceOptions {
   /// Epoch width for deterministic batching/coalescing; <= 0 applies every
   /// request individually (no batching, no coalescing).
   double batch_window_s = 30.0;
-  /// Per-shard repair engine knobs, including speculative parallel repair
-  /// (repair.speculative_plans > 1 races candidate plans inside each worker;
-  /// replay signatures stay bit-identical for any thread count, so shards
-  /// may enable it independently of num_workers).
+  /// Per-shard repair engine knobs.
   RepairOptions repair;
   std::uint64_t seed = 42;
 };

@@ -29,7 +29,6 @@
 #include "platform/platform.hpp"
 #include "tree/tree_generator.hpp"
 #include "util/rng.hpp"
-#include "util/simd.hpp"
 #include "util/units.hpp"
 
 namespace insp {
@@ -117,21 +116,7 @@ std::vector<int> random_group(Rng& rng, PlacementState& state, int n_ops) {
   return ops;
 }
 
-/// Forces one SIMD dispatch path for the lifetime of the scope (clamped to
-/// what the host supports — forcing never widens past detected_isa()).
-class ScopedIsa {
- public:
-  explicit ScopedIsa(simd::Isa isa) { simd::set_forced_isa(isa); }
-  ~ScopedIsa() { simd::clear_forced_isa(); }
-  ScopedIsa(const ScopedIsa&) = delete;
-  ScopedIsa& operator=(const ScopedIsa&) = delete;
-};
-
-/// The full differential walk, run once per dispatch path below so every
-/// kernel (scalar range functions, SSE2 lanes, AVX2 lanes) faces the same
-/// 1500-step mutation surface and must produce element-wise identical
-/// verdicts and bit-exact rollbacks.
-void run_batch_diff_walk() {
+TEST(PlacementBatchDiff, BatchVerdictsMatchSequentialProbesEveryStep) {
   constexpr int kSteps = 1500;
   DiffWorld world = make_world(0xBA7C4u, /*n_ops=*/24);
   PlacementState state(world.problem());
@@ -259,34 +244,6 @@ void run_batch_diff_walk() {
   EXPECT_GT(skip_candidates, 100);
   EXPECT_GT(all_false_batches, 5);
   EXPECT_GT(config_checks, 500);
-}
-
-TEST(PlacementBatchDiff, BatchVerdictsMatchSequentialProbesEveryStep) {
-  run_batch_diff_walk();
-}
-
-TEST(PlacementBatchDiff, WalkHoldsUnderForcedScalar) {
-  ScopedIsa forced(simd::Isa::kScalar);
-  ASSERT_EQ(simd::active_isa(), simd::Isa::kScalar);
-  run_batch_diff_walk();
-}
-
-TEST(PlacementBatchDiff, WalkHoldsUnderForcedSse2) {
-  if (simd::detected_isa() < simd::Isa::kSse2) {
-    GTEST_SKIP() << "host has no SSE2 path";
-  }
-  ScopedIsa forced(simd::Isa::kSse2);
-  ASSERT_EQ(simd::active_isa(), simd::Isa::kSse2);
-  run_batch_diff_walk();
-}
-
-TEST(PlacementBatchDiff, WalkHoldsUnderForcedAvx2) {
-  if (simd::detected_isa() < simd::Isa::kAvx2) {
-    GTEST_SKIP() << "host has no AVX2 path";
-  }
-  ScopedIsa forced(simd::Isa::kAvx2);
-  ASSERT_EQ(simd::active_isa(), simd::Isa::kAvx2);
-  run_batch_diff_walk();
 }
 
 } // namespace

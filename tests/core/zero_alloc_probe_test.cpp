@@ -1,12 +1,12 @@
 // Zero-allocation contract for the steady-state hot paths (docs/DESIGN.md
 // §11): after one warmup pass has sized every persistent scratch buffer —
 // the PlacementState batch arenas, the journal vectors, the flat link
-// ledger, the thread-local repair scratch — further probes, batch probes,
-// committed move ping-pongs and repair-style scans must perform ZERO heap
-// allocations.  The test compiles in the global counting operator new
-// (util/alloc_counter.hpp) and fails on any non-zero delta, so a
-// reintroduced per-call temporary anywhere under these paths is caught
-// exactly, not statistically.
+// ledger, the repair scratch — further probes, batch probes (including the
+// hypothetical-purchase form), committed move ping-pongs and repair-style
+// scans must perform ZERO heap allocations.  The test compiles in the
+// global counting operator new (util/alloc_counter.hpp) and fails on any
+// non-zero delta, so a reintroduced per-call temporary anywhere under these
+// paths is caught exactly, not statistically.
 #define INSP_DEFINE_COUNTING_ALLOCATOR
 #include "util/alloc_counter.hpp"
 
@@ -79,6 +79,35 @@ TEST(ZeroAllocProbe, SteadyStateBatchAndScalarProbesDoNotAllocate) {
   const long long delta = alloc_delta_over(probe_round);
   EXPECT_EQ(delta, 0)
       << "steady-state probes allocated " << delta << " times";
+}
+
+TEST(ZeroAllocProbe, SteadyStateNewProcessorBatchProbesDoNotAllocate) {
+  // can_place_on_new_batch: the grouping technique's "which configuration
+  // could host this group on a fresh processor?" scan (soa_probe_configs).
+  const Fixture f = random_fixture(9, 24, 1.2);
+  PlacementState state = seated_state(f, 4);
+  const auto& configs = f.catalog.by_cost();
+  const int n_ops = f.tree.num_operators();
+
+  std::vector<unsigned char> verdicts;
+  std::vector<int> group = {0, 1};
+  long long feasible = 0;
+  auto probe_round = [&] {
+    for (int op = 0; op < n_ops; ++op) {
+      group[0] = op;
+      group[1] = (op + 1) % n_ops;
+      state.can_place_on_new_batch(group, configs, verdicts);
+      for (unsigned char v : verdicts) feasible += v;
+    }
+  };
+
+  probe_round();
+  probe_round();
+  ASSERT_GT(feasible, 0) << "every hypothetical purchase was rejected";
+
+  const long long delta = alloc_delta_over(probe_round);
+  EXPECT_EQ(delta, 0)
+      << "steady-state new-processor probes allocated " << delta << " times";
 }
 
 TEST(ZeroAllocProbe, CommittedMovePingPongDoesNotAllocate) {

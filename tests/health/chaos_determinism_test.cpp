@@ -1,8 +1,7 @@
 // Determinism of the chaos control loop (docs/DESIGN.md §12): the health
 // monitor's replay signature, summary, and final allocation must be
-// bit-identical for every validation thread count and under every forced
-// SIMD dispatch tier the host can execute — the same contract the sweep
-// engine, the scenario engine, and the allocation service uphold.  Runs
+// bit-identical for every validation thread count — the same contract the
+// sweep engine, the scenario engine, and the allocation service uphold.  Runs
 // under the plain, ASan/UBSan, and TSan CI jobs.
 #include <gtest/gtest.h>
 
@@ -10,28 +9,12 @@
 
 #include "bench_support/chaos_world.hpp"
 #include "health/health_monitor.hpp"
-#include "util/simd.hpp"
 
 namespace insp {
 namespace {
 
 using benchx::ChaosWorld;
 using benchx::make_chaos_world;
-
-std::vector<simd::Isa> available_isas() {
-  std::vector<simd::Isa> isas = {simd::Isa::kScalar};
-  if (simd::detected_isa() >= simd::Isa::kSse2) isas.push_back(simd::Isa::kSse2);
-  if (simd::detected_isa() >= simd::Isa::kAvx2) isas.push_back(simd::Isa::kAvx2);
-  return isas;
-}
-
-class ScopedIsa {
- public:
-  explicit ScopedIsa(simd::Isa isa) { simd::set_forced_isa(isa); }
-  ~ScopedIsa() { simd::clear_forced_isa(); }
-  ScopedIsa(const ScopedIsa&) = delete;
-  ScopedIsa& operator=(const ScopedIsa&) = delete;
-};
 
 ChaosWorld mixed_world() {
   ChaosGenConfig cfg;  // all four classes in one trace
@@ -72,19 +55,6 @@ TEST(ChaosDeterminism, SignatureIsIdenticalAcrossThreadCounts) {
   for (int threads : {2, 8}) {
     expect_identical(serial, run(world, threads),
                      ("threads=" + std::to_string(threads)).c_str());
-  }
-}
-
-TEST(ChaosDeterminism, SignatureIsIdenticalAcrossForcedIsaTiers) {
-  const ChaosWorld world = mixed_world();
-  HealthMonitorResult baseline;
-  {
-    ScopedIsa forced(simd::Isa::kScalar);
-    baseline = run(world, 2);
-  }
-  for (simd::Isa isa : available_isas()) {
-    ScopedIsa forced(isa);
-    expect_identical(baseline, run(world, 2), simd::to_string(isa));
   }
 }
 
