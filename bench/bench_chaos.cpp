@@ -102,10 +102,10 @@ void write_json(const std::string& path, std::uint64_t seed,
 } // namespace
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
   const BenchFlags flags =
-      parse_flags(argc, argv, /*default_reps=*/1, /*accepts_heuristics=*/false);
-  reject_unknown_flags(args, {"json", "smoke", "gate", "simulate"});
+      parse_flags(argc, argv, {"json", "smoke", "gate", "simulate"},
+                  /*default_reps=*/1, /*accepts_heuristics=*/false);
+  const CliArgs& args = flags.args;
   const std::string json_path = args.get("json", "BENCH_chaos.json");
   const bool smoke = args.get_bool("smoke", false);
   const bool gate = args.get_bool("gate", false);
@@ -137,9 +137,9 @@ int main(int argc, char** argv) {
       opts.detector.beat_interval_s = cfg.beat_interval_s;
       opts.detector.timeout_beats = cfg.timeout_beats;
       opts.detector.recovery_beats = cfg.recovery_beats;
-      opts.seed = flags.seed;
-      opts.simulate = simulate;
-      opts.num_threads = flags.threads;
+      opts.replay.seed = flags.seed;
+      opts.replay.simulate = simulate;
+      opts.replay.num_threads = flags.threads;
       const HealthMonitorResult run = run_health_monitor(
           world.apps, world.platform, world.catalog, world.trace, opts);
 
@@ -148,12 +148,13 @@ int main(int argc, char** argv) {
       r.scale = scale;
       r.faults = static_cast<int>(world.trace.faults.size());
       r.score = run.score;
-      r.events = run.summary.events;
-      r.simulated = run.summary.simulated;
-      r.sustained = run.summary.sustained;
-      r.median_repair_ms = run.summary.median_repair_seconds * 1e3;
-      r.final_cost = run.summary.final_cost;
-      r.signature = run.signature;
+      const ScenarioSummary& summary = run.replay.summary;
+      r.events = summary.events;
+      r.simulated = summary.simulated;
+      r.sustained = summary.sustained;
+      r.median_repair_ms = summary.median_repair_seconds * 1e3;
+      r.final_cost = summary.final_cost;
+      r.signature = run.replay.signature;
       results.push_back(r);
 
       std::printf(

@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_support/experiment.hpp"
@@ -34,6 +35,8 @@ inline InstanceConfig paper_instance(int n_operators, double alpha) {
 }
 
 struct BenchFlags {
+  /// The whole command line; benches read their own flags from here.
+  CliArgs args;
   int repetitions;
   std::uint64_t seed;
   std::string csv_path;
@@ -75,17 +78,30 @@ inline std::vector<HeuristicKind> parse_heuristic_list(
   return kinds;
 }
 
+/// Parses the standard flags (--reps --seed --csv --threads --heuristics).
+/// `own_flags` names the bench's own flags, read later from
+/// BenchFlags::args; any other option is a usage error (exit 2), so a
+/// mistyped flag cannot silently fall back to its default.
 /// `accepts_heuristics = false` is for benches with a fixed strategy set
 /// (ablations, ILP comparison, ...): they reject --heuristics outright
 /// rather than silently ignoring it.
-inline BenchFlags parse_flags(int argc, char** argv, int default_reps = 20,
+inline BenchFlags parse_flags(int argc, char** argv,
+                              std::vector<std::string> own_flags = {},
+                              int default_reps = 20,
                               bool accepts_heuristics = true) {
   CliArgs args(argc, argv);
-  BenchFlags f;
-  f.repetitions = static_cast<int>(args.get_int("reps", default_reps));
-  f.seed = args.get_u64("seed", 42);
-  f.csv_path = args.get("csv", "");
-  f.threads = static_cast<int>(args.get_int("threads", 0));
+  own_flags.insert(own_flags.end(),
+                   {"reps", "seed", "csv", "threads", "heuristics"});
+  const std::vector<std::string> unknown = args.unknown(own_flags);
+  for (const std::string& name : unknown) {
+    std::fprintf(stderr, "%s: unknown flag --%s\n", args.program().c_str(),
+                 name.c_str());
+  }
+  if (!unknown.empty()) std::exit(2);
+  const int repetitions = static_cast<int>(args.get_int("reps", default_reps));
+  const std::uint64_t seed = args.get_u64("seed", 42);
+  std::string csv_path = args.get("csv", "");
+  const int threads = static_cast<int>(args.get_int("threads", 0));
   const std::string heuristics_csv = args.get("heuristics", "");
   if (!heuristics_csv.empty() && !accepts_heuristics) {
     std::fprintf(stderr,
@@ -94,23 +110,8 @@ inline BenchFlags parse_flags(int argc, char** argv, int default_reps = 20,
                  args.program().c_str());
     std::exit(2);
   }
-  f.heuristics = parse_heuristic_list(heuristics_csv);
-  return f;
-}
-
-/// Exits with a usage error (2) if any option outside parse_flags' standard
-/// flags and the bench's own `extra` flags was given, so a mistyped flag
-/// cannot silently fall back to its default.
-inline void reject_unknown_flags(const CliArgs& args,
-                                 std::vector<std::string> extra) {
-  extra.insert(extra.end(), {"reps", "seed", "csv", "threads", "heuristics"});
-  const std::vector<std::string> unknown = args.unknown(extra);
-  if (unknown.empty()) return;
-  for (const std::string& name : unknown) {
-    std::fprintf(stderr, "%s: unknown flag --%s\n", args.program().c_str(),
-                 name.c_str());
-  }
-  std::exit(2);
+  return BenchFlags{std::move(args), repetitions, seed, std::move(csv_path),
+                    threads, parse_heuristic_list(heuristics_csv)};
 }
 
 /// Pre-wired sweep spec: repetitions, seed, thread count, and the heuristic

@@ -127,11 +127,12 @@ void write_json(const std::string& path, std::uint64_t seed,
 } // namespace
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
   const BenchFlags flags =
-      parse_flags(argc, argv, /*default_reps=*/1, /*accepts_heuristics=*/false);
-  reject_unknown_flags(args, {"json", "smoke", "dump-trace", "trace",
-                              "simulate", "gap-nmax", "gap-budget"});
+      parse_flags(argc, argv,
+                  {"json", "smoke", "dump-trace", "trace", "simulate",
+                   "gap-nmax", "gap-budget"},
+                  /*default_reps=*/1, /*accepts_heuristics=*/false);
+  const CliArgs& args = flags.args;
   const std::string json_path = args.get("json", "BENCH_dynamic.json");
   const bool smoke = args.get_bool("smoke", false);
   const std::string dump_trace_path = args.get("dump-trace", "");

@@ -10,9 +10,8 @@ using namespace insp;
 using namespace insp::benchx;
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
-  const int n = static_cast<int>(args.get_int("n", 80));
-  const BenchFlags flags = parse_flags(argc, argv);
+  const BenchFlags flags = parse_flags(argc, argv, {"n"});
+  const int n = static_cast<int>(flags.args.get_int("n", 80));
 
   SweepSpec spec = make_sweep_spec(flags);
   spec.x_name = "freq(1/s)";

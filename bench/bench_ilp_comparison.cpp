@@ -79,10 +79,10 @@ void write_json(const std::string& path, std::uint64_t seed,
 } // namespace
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
   const BenchFlags flags =
-      parse_flags(argc, argv, /*default_reps=*/10, /*accepts_heuristics=*/false);
-  reject_unknown_flags(args, {"json", "smoke", "gate", "nmax"});
+      parse_flags(argc, argv, {"json", "smoke", "gate", "nmax"},
+                  /*default_reps=*/10, /*accepts_heuristics=*/false);
+  const CliArgs& args = flags.args;
   const std::string json_path = args.get("json", "BENCH_ilp.json");
   const bool smoke = args.get_bool("smoke", false);
   const bool gate = args.get_bool("gate", false);

@@ -10,10 +10,10 @@ using namespace insp;
 using namespace insp::benchx;
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
-  const BenchFlags flags =
-      parse_flags(argc, argv, /*default_reps=*/20, /*accepts_heuristics=*/false);
-  const double alpha = args.get_double("alpha", 1.5);
+  const BenchFlags flags = parse_flags(argc, argv, {"alpha"},
+                                       /*default_reps=*/20,
+                                       /*accepts_heuristics=*/false);
+  const double alpha = flags.args.get_double("alpha", 1.5);
 
   std::printf("Local-search refinement (alpha=%.1f, small objects, high "
               "frequency)\n"

@@ -16,9 +16,10 @@ using namespace insp;
 using namespace insp::benchx;
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
   const BenchFlags flags =
-      parse_flags(argc, argv, /*default_reps=*/20, /*accepts_heuristics=*/false);
+      parse_flags(argc, argv, {"apps", "n", "alpha"}, /*default_reps=*/20,
+                  /*accepts_heuristics=*/false);
+  const CliArgs& args = flags.args;
   const int num_apps = static_cast<int>(args.get_int("apps", 3));
   const int n = static_cast<int>(args.get_int("n", 25));
   const double alpha = args.get_double("alpha", 1.2);

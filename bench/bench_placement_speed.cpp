@@ -210,9 +210,9 @@ void write_json(const std::string& path, std::uint64_t seed,
 } // namespace
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
-  const BenchFlags flags = parse_flags(argc, argv, /*default_reps=*/5);
-  reject_unknown_flags(args, {"json", "smoke"});
+  const BenchFlags flags =
+      parse_flags(argc, argv, {"json", "smoke"}, /*default_reps=*/5);
+  const CliArgs& args = flags.args;
   const std::string json_path = args.get("json", "BENCH_placement.json");
   const bool smoke = args.get_bool("smoke", false);
 

@@ -168,10 +168,10 @@ void write_json(const std::string& path, std::uint64_t seed,
 } // namespace
 
 int main(int argc, char** argv) {
-  CliArgs args(argc, argv);
   const BenchFlags flags =
-      parse_flags(argc, argv, /*default_reps=*/1, /*accepts_heuristics=*/false);
-  reject_unknown_flags(args, {"json", "smoke", "gate"});
+      parse_flags(argc, argv, {"json", "smoke", "gate"},
+                  /*default_reps=*/1, /*accepts_heuristics=*/false);
+  const CliArgs& args = flags.args;
   const std::string json_path = args.get("json", "BENCH_service.json");
   const bool smoke = args.get_bool("smoke", false);
   const bool gate = args.get_bool("gate", false);

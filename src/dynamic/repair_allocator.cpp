@@ -10,6 +10,13 @@
 
 namespace insp {
 
+namespace {
+
+/// Heuristic tried first by the initial allocation and the scratch fallback.
+constexpr HeuristicKind kFallbackHeuristic = HeuristicKind::SubtreeBottomUp;
+
+} // namespace
+
 const char* to_string(EventError error) {
   switch (error) {
     case EventError::kNone: return "none";
@@ -166,7 +173,7 @@ bool DynamicAllocator::place_unassigned(RepairReport& report) {
   }
   for (int op : order) {
     bool placed = first_fit_relaxed(*state_, op, state_->live_processors());
-    if (!placed && opt_.allow_purchase) {
+    if (!placed) {
       const int pid = state_->buy(catalog_.most_expensive());
       if (state_->try_place_relaxed(op, pid)) {
         ++report.procs_bought;
@@ -186,9 +193,8 @@ bool DynamicAllocator::place_unassigned(RepairReport& report) {
 
 bool DynamicAllocator::repair_violations(RepairReport& report) {
   PlacementState& state = *state_;
-  const int max_rounds = opt_.max_repair_rounds > 0
-                             ? opt_.max_repair_rounds
-                             : 4 * state.num_live_processors() + 16;
+  // Fixed round budget (DESIGN §8): past it the event falls back to scratch.
+  const int max_rounds = 4 * state.num_live_processors() + 16;
   RepairScratch& sc = scratch_;
   for (int round = 0; round < max_rounds; ++round) {
     state.overloaded_processors(sc.over_procs);
@@ -267,21 +273,19 @@ bool DynamicAllocator::repair_violations(RepairReport& report) {
 
     // Move 3 — bounded re-purchase: a fresh processor for the heaviest
     // evictable operator.
-    if (opt_.allow_purchase) {
-      const int pid = state.buy(catalog_.most_expensive());
-      for (const auto& [key, op] : keyed) {
-        (void)key;
-        if (state.try_place_relaxed(op, pid)) {
-          ++report.ops_moved;
-          ++report.procs_bought;
-          if (!state.is_live(target)) ++report.procs_retired;
-          moved = true;
-          break;
-        }
+    const int pid = state.buy(catalog_.most_expensive());
+    for (const auto& [key, op] : keyed) {
+      (void)key;
+      if (state.try_place_relaxed(op, pid)) {
+        ++report.ops_moved;
+        ++report.procs_bought;
+        if (!state.is_live(target)) ++report.procs_retired;
+        moved = true;
+        break;
       }
-      if (moved) continue;
-      state.sell(pid);
     }
+    if (moved) continue;
+    state.sell(pid);
 
     report.failure_reason =
         "repair: processor " + std::to_string(target) + " cannot be drained";
@@ -375,11 +379,11 @@ bool DynamicAllocator::fallback_scratch(RepairReport& report) {
   const Problem prob = problem();
   const int previously_assigned =
       forest_.num_operators() - (state_ ? state_->num_unassigned() : 0);
-  // Try the configured heuristic first, then every other paper heuristic:
-  // a scratch failure must mean no registered pipeline can host the world.
-  std::vector<HeuristicKind> kinds{opt_.fallback_heuristic};
+  // Try SubtreeBottomUp first, then every other paper heuristic: a scratch
+  // failure must mean no registered pipeline can host the world.
+  std::vector<HeuristicKind> kinds{kFallbackHeuristic};
   for (HeuristicKind k : all_heuristics()) {
-    if (k != opt_.fallback_heuristic) kinds.push_back(k);
+    if (k != kFallbackHeuristic) kinds.push_back(k);
   }
   for (HeuristicKind kind : kinds) {
     Rng r = rng_.split();
@@ -635,7 +639,7 @@ RepairReport DynamicAllocator::apply(const WorkloadEvent& event,
         static_cast<int>(state_->overloaded_processors().size() +
                          state_->overloaded_links().size());
     if (ok && rep.violations_before > 0) ok = repair_violations(rep);
-    if (ok && opt_.consolidate) consolidate(rep);
+    if (ok) consolidate(rep);
     if (ok) ok = finish_allocation(rep);
     if (!ok) {
       INSP_DEBUG << "event " << to_string(event.kind)

@@ -40,16 +40,6 @@
 namespace insp {
 
 struct RepairOptions {
-  /// Heuristic used for the initial allocation and the scratch fallback.
-  HeuristicKind fallback_heuristic = HeuristicKind::SubtreeBottomUp;
-  /// Repair rounds before giving up and falling back; 0 = auto
-  /// (4 * live processors + 16).
-  int max_repair_rounds = 0;
-  /// Allow buying processors during repair (otherwise eviction-only).
-  bool allow_purchase = true;
-  /// Post-repair consolidation: one local-search merge pass plus
-  /// cheapest-meeting re-pricing of every live processor.
-  bool consolidate = true;
   /// Diagnostics/baseline mode: handle every event with the scratch
   /// re-allocation path, skipping incremental repair entirely.  This is the
   /// "what the static paper pipeline would do" yardstick bench_dynamic
@@ -109,7 +99,7 @@ class DynamicAllocator {
   DynamicAllocator(const DynamicAllocator&) = delete;
   DynamicAllocator& operator=(const DynamicAllocator&) = delete;
 
-  /// From-scratch initial allocation (fallback heuristic, then every other
+  /// From-scratch initial allocation (SubtreeBottomUp, then every other
   /// registered paper heuristic if it fails).  `seed` also seeds the RNG
   /// used by any later fallback run, so the whole trajectory is
   /// deterministic given (world, trace, seed).

@@ -1,125 +1,38 @@
 #include "health/health_monitor.hpp"
 
 #include <algorithm>
-#include <chrono>
-
-#include "dynamic/replay_signature.hpp"
-#include "util/thread_pool.hpp"
 
 namespace insp {
-
-namespace {
-
-using Clock = std::chrono::steady_clock;
-
-/// Same snapshot the scenario engine takes: the world as it stood when the
-/// event's allocation was produced, with the believed degradations folded
-/// into the self-contained simulator view.
-struct SimSnapshot {
-  std::size_t outcome_index;
-  OperatorTree forest;
-  Allocation allocation;
-  SimPlatformView view;
-};
-
-} // namespace
 
 HealthMonitorResult run_health_monitor(
     const std::vector<ApplicationSpec>& initial_apps, const Platform& platform,
     const PriceCatalog& catalog, const ChaosTrace& trace,
     const HealthMonitorOptions& options) {
   HealthMonitorResult result;
-  DynamicAllocator engine(initial_apps, platform, catalog, options.repair);
-  engine.initialize(options.seed);
   FailureDetector detector(options.detector, trace.num_servers, 0.0);
-  const EventTrace no_trace;  // server events never read arrival trees
+  const auto record = [&](const std::vector<InferredTransition>& batch) {
+    result.inferred.insert(result.inferred.end(), batch.begin(), batch.end());
+  };
+  for (const BeatObservation& b : chaos_beats(trace)) {
+    record(detector.beat(b.time, b.server));
+  }
+  // Trailing expiries past the last beat (none for generated traces — the
+  // horizon floor guarantees quiet tail beats — but the loop must not rely
+  // on generator goodwill).
+  record(detector.advance_to(trace.horizon_s));
 
-  // Control loop: strictly sequential, like scenario_engine replay — the
-  // trajectory depends only on (world, trace, seed).
-  std::vector<SimSnapshot> snapshots;
-  const auto handle = [&](const InferredTransition& tr) {
-    result.inferred.push_back(tr);
+  EventTrace inferred_trace;
+  inferred_trace.events.reserve(result.inferred.size());
+  for (const InferredTransition& tr : result.inferred) {
     WorkloadEvent event;
     event.time = tr.time;
     event.kind =
         tr.down ? EventKind::ServerFailure : EventKind::ServerRecovery;
     event.server = tr.server;
-    EventOutcome out;
-    out.event = event;
-    const auto t0 = Clock::now();
-    out.repair = engine.apply(event, no_trace);
-    out.repair_seconds =
-        std::chrono::duration<double>(Clock::now() - t0).count();
-    out.cost = out.repair.cost_after;
-    out.processors = engine.allocation().num_processors();
-    if (options.simulate && out.repair.success && engine.num_live_apps() > 0) {
-      snapshots.push_back(SimSnapshot{
-          result.outcomes.size(), engine.forest(), engine.allocation(),
-          SimPlatformView::degraded(engine.platform(), engine.servers_up())});
-    }
-    result.outcomes.push_back(std::move(out));
-  };
-
-  for (const BeatObservation& b : chaos_beats(trace)) {
-    for (const InferredTransition& tr : detector.beat(b.time, b.server)) {
-      handle(tr);
-    }
+    inferred_trace.events.push_back(event);
   }
-  // Trailing expiries past the last beat (none for generated traces — the
-  // horizon floor guarantees quiet tail beats — but the loop must not rely
-  // on generator goodwill).
-  for (const InferredTransition& tr : detector.advance_to(trace.horizon_s)) {
-    handle(tr);
-  }
-  result.final_allocation = engine.allocation();
-
-  // Validation pass, parallel into pre-allocated slots.
-  std::vector<char> sustained(snapshots.size(), 0);
-  ThreadPool::parallel_for(
-      snapshots.size(),
-      static_cast<unsigned>(options.num_threads < 0 ? 0
-                                                    : options.num_threads),
-      [&](std::size_t i) {
-        const SimSnapshot& s = snapshots[i];
-        Problem prob;
-        prob.tree = &s.forest;
-        prob.platform = &platform;
-        prob.catalog = &catalog;
-        prob.rho = 1.0;
-        const EventSimResult sim =
-            simulate_allocation(prob, s.allocation, s.view, options.sim);
-        sustained[i] = sim.sustained ? 1 : 0;
-      });
-  for (std::size_t i = 0; i < snapshots.size(); ++i) {
-    EventOutcome& out = result.outcomes[snapshots[i].outcome_index];
-    out.simulated = true;
-    out.sustained = sustained[i] != 0;
-  }
-
-  // Summary + signature, byte-for-byte the scenario engine's accumulation.
-  ReplaySignature f;
-  std::vector<double> repair_times;
-  for (const EventOutcome& out : result.outcomes) {
-    ++result.summary.events;
-    if (!out.repair.success) ++result.summary.failures;
-    if (out.repair.used_fallback) ++result.summary.fallbacks;
-    result.summary.ops_moved += out.repair.ops_moved;
-    result.summary.procs_bought += out.repair.procs_bought;
-    result.summary.procs_retired += out.repair.procs_retired;
-    result.summary.reconfigures += out.repair.reconfigures;
-    if (out.simulated) ++result.summary.simulated;
-    if (out.sustained) ++result.summary.sustained;
-    repair_times.push_back(out.repair_seconds);
-    f.mix_repair(out.event.kind, out.repair, out.processors);
-  }
-  f.mix_allocation(result.final_allocation);
-  result.signature = f.h;
-  result.summary.final_cost = result.final_allocation.total_cost(catalog);
-  if (!repair_times.empty()) {
-    std::sort(repair_times.begin(), repair_times.end());
-    result.summary.median_repair_seconds =
-        repair_times[repair_times.size() / 2];
-  }
+  result.replay = replay_trace(initial_apps, platform, catalog,
+                               inferred_trace, options.replay);
 
   // Scorecard: greedy 1:1 matching of ground-truth transitions to inferred
   // ones (same server, same direction, inferred at or after the truth
@@ -146,7 +59,7 @@ HealthMonitorResult run_health_monitor(
         det_sum += lag_beats;
         score.max_detection_beats =
             std::max(score.max_detection_beats, lag_beats);
-        if (result.outcomes[i].repair.success) ++score.repaired;
+        if (result.replay.outcomes[i].repair.success) ++score.repaired;
       } else {
         ++score.recovered;
         rec_sum += lag_beats;

@@ -1,30 +1,24 @@
 // Self-healing control loop (docs/DESIGN.md §12): heartbeat stream in,
 // repaired allocations out.  The monitor replays the beat stream of a
-// ChaosTrace through the FailureDetector and feeds every *inferred*
-// transition — never the ground truth — into DynamicAllocator repair as a
-// ServerFailure / ServerRecovery event, mirroring the scenario engine's
-// replay loop: sequential repair (the trajectory depends only on the world,
-// the trace and the seed), then a parallel post-validation pass into
-// pre-allocated slots, so the result and its replay signature are
-// bit-identical for every thread count.
+// ChaosTrace through the FailureDetector, renders every *inferred*
+// transition — never the ground truth — as a ServerFailure /
+// ServerRecovery event, and hands that event trace to replay_trace.  The
+// monitor *is* the scenario engine fed by the detector: the detector never
+// reads the allocator, so the inferred stream is a pure function of the
+// chaos trace, and repair, validation, summary and signature are
+// replay_trace's own (sequential repair, parallel post-validation into
+// pre-allocated slots, bit-identical for every thread count).
 //
-// The signature mixes exactly the bytes ReplaySignature mixes for
-// scenario_engine::replay_trace.  That is the differential-test contract:
-// for a beat-loss-only chaos trace the inferred transitions are 1:1 with
-// the ground-truth transitions and arrive in the same order, so the
-// monitor's signature must equal replay_trace's signature on
-// chaos_oracle_trace() — detection latency shifts *when* repairs happen,
-// never *what* they do.
+// That is the differential-test contract: for a beat-loss-only chaos trace
+// the inferred transitions are 1:1 with the ground-truth transitions and
+// arrive in the same order, so the monitor's signature must equal
+// replay_trace's signature on chaos_oracle_trace() — detection latency
+// shifts *when* repairs happen, never *what* they do.
 //
-// Validation folds the detector's belief (== the allocator's server
-// health, since the allocator is driven by the inferred stream) into the
-// simulator's platform view — the scenario engine's convention: the
-// simulator must honor exactly the degradations the repair was answering.
 // The ground truth is used for *scoring* (detection / recovery latency,
 // ChaosScore), never for repair or validation.
 #pragma once
 
-#include <cstdint>
 #include <vector>
 
 #include "dynamic/chaos_generator.hpp"
@@ -35,15 +29,9 @@ namespace insp {
 
 struct HealthMonitorOptions {
   FailureDetectorConfig detector;
-  RepairOptions repair;
-  std::uint64_t seed = 42;
-  /// Simulate each successful repair against the ground-truth platform
-  /// view (the sim-sustained acceptance gate).
-  bool simulate = true;
-  EventSimConfig sim;
-  /// Worker threads for post-replay validation (0 = hardware concurrency,
-  /// 1 = serial).  The control loop itself is always sequential.
-  int num_threads = 1;
+  /// How the inferred event trace is replayed (repair, seed, simulation,
+  /// validation threads).
+  ScenarioOptions replay;
 };
 
 /// Chaos scorecard: how fast the loop noticed, repaired and recovered.
@@ -63,14 +51,10 @@ struct ChaosScore {
 struct HealthMonitorResult {
   /// Every inferred transition, in emission order.
   std::vector<InferredTransition> inferred;
-  /// One outcome per inferred transition (the event the control loop
-  /// synthesized from it, its repair report, validation verdict).
-  std::vector<EventOutcome> outcomes;
-  Allocation final_allocation;
-  ScenarioSummary summary;
+  /// replay_trace over the inferred transitions: replay.outcomes[i] is the
+  /// event synthesized from inferred[i].
+  ScenarioResult replay;
   ChaosScore score;
-  /// Same FNV-1a accumulation as ScenarioResult::signature.
-  std::uint64_t signature = 0;
 };
 
 HealthMonitorResult run_health_monitor(

@@ -26,8 +26,9 @@ struct ShardReplayResult {
 
 /// Replays `spec.trace` against the shard's world exactly as the service
 /// would: epoch runs -> coalesce -> apply, seeded with
-/// shard_seed(options.seed, shard_index).  Only `options.repair`, `seed`
-/// and `batch_window_s` matter here; worker/queue options are ignored.
+/// shard_seed(options.seed, shard_index).  Only `repair.always_fallback`,
+/// `seed` and `batch_window_s` matter here; `num_workers` and
+/// `queue_capacity` are ignored.
 ShardReplayResult replay_shard_sequential(const ShardSpec& spec,
                                           int shard_index,
                                           const ServiceOptions& options);

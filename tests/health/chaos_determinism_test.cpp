@@ -24,21 +24,22 @@ ChaosWorld mixed_world() {
 
 HealthMonitorResult run(const ChaosWorld& world, int num_threads) {
   HealthMonitorOptions opts;
-  opts.seed = 42;
-  opts.simulate = true;  // the parallel validation pass is what threads touch
-  opts.num_threads = num_threads;
+  opts.replay.seed = 42;
+  opts.replay.simulate = true;  // the validation pass is what threads touch
+  opts.replay.num_threads = num_threads;
   return run_health_monitor(world.apps, world.platform, world.catalog,
                             world.trace, opts);
 }
 
 void expect_identical(const HealthMonitorResult& a,
                       const HealthMonitorResult& b, const char* label) {
-  EXPECT_EQ(a.signature, b.signature) << label;
-  EXPECT_TRUE(a.final_allocation == b.final_allocation) << label;
-  EXPECT_EQ(a.summary.events, b.summary.events) << label;
-  EXPECT_EQ(a.summary.failures, b.summary.failures) << label;
-  EXPECT_EQ(a.summary.simulated, b.summary.simulated) << label;
-  EXPECT_EQ(a.summary.sustained, b.summary.sustained) << label;
+  EXPECT_EQ(a.replay.signature, b.replay.signature) << label;
+  EXPECT_TRUE(a.replay.final_allocation == b.replay.final_allocation)
+      << label;
+  EXPECT_EQ(a.replay.summary.events, b.replay.summary.events) << label;
+  EXPECT_EQ(a.replay.summary.failures, b.replay.summary.failures) << label;
+  EXPECT_EQ(a.replay.summary.simulated, b.replay.summary.simulated) << label;
+  EXPECT_EQ(a.replay.summary.sustained, b.replay.summary.sustained) << label;
   ASSERT_EQ(a.inferred.size(), b.inferred.size()) << label;
   for (std::size_t i = 0; i < a.inferred.size(); ++i) {
     EXPECT_EQ(a.inferred[i].time, b.inferred[i].time) << label;
@@ -50,8 +51,8 @@ void expect_identical(const HealthMonitorResult& a,
 TEST(ChaosDeterminism, SignatureIsIdenticalAcrossThreadCounts) {
   const ChaosWorld world = mixed_world();
   const HealthMonitorResult serial = run(world, 1);
-  ASSERT_GT(serial.summary.events, 0);
-  ASSERT_GT(serial.summary.simulated, 0);
+  ASSERT_GT(serial.replay.summary.events, 0);
+  ASSERT_GT(serial.replay.summary.simulated, 0);
   for (int threads : {2, 8}) {
     expect_identical(serial, run(world, threads),
                      ("threads=" + std::to_string(threads)).c_str());

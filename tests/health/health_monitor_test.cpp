@@ -26,8 +26,8 @@ HealthMonitorOptions monitor_options(const ChaosGenConfig& cfg,
   opts.detector.beat_interval_s = cfg.beat_interval_s;
   opts.detector.timeout_beats = cfg.timeout_beats;
   opts.detector.recovery_beats = cfg.recovery_beats;
-  opts.seed = seed;
-  opts.simulate = false;  // the signature covers trajectory + allocation
+  opts.replay.seed = seed;
+  opts.replay.simulate = false;  // the signature covers trajectory + allocation
   return opts;
 }
 
@@ -39,9 +39,10 @@ TEST(HealthMonitor, InferredRepairsMatchOracleReplayAcrossSeeds) {
     const ChaosWorld world = make_chaos_world(seed, {40, 2}, cfg);
     const EventTrace oracle = chaos_oracle_trace(world.trace);
 
-    const HealthMonitorResult inferred = run_health_monitor(
+    const HealthMonitorResult run = run_health_monitor(
         world.apps, world.platform, world.catalog, world.trace,
         monitor_options(cfg, seed));
+    const ScenarioResult& inferred = run.replay;
 
     ScenarioOptions ropts;
     ropts.seed = seed;
@@ -107,7 +108,7 @@ TEST(HealthMonitor, BrownoutInferencesAreFalsePositivesThatGetUndone) {
   EXPECT_EQ(run.score.recovered, run.score.truth_up);
   // ... and every conviction is later undone: the stream ends on a
   // recovery and pairs off (one up per down, per server).
-  ASSERT_EQ(run.inferred.size(), run.outcomes.size());
+  ASSERT_EQ(run.inferred.size(), run.replay.outcomes.size());
   ASSERT_FALSE(run.inferred.empty());
   EXPECT_FALSE(run.inferred.back().down);
   EXPECT_EQ(run.score.truth_down, run.score.truth_up);
@@ -127,8 +128,59 @@ TEST(HealthMonitor, BrownoutInferencesAreFalsePositivesThatGetUndone) {
   ropts.simulate = false;
   const ScenarioResult echo = replay_trace(world.apps, world.platform,
                                            world.catalog, echoed, ropts);
-  EXPECT_EQ(run.signature, echo.signature);
-  EXPECT_TRUE(run.final_allocation == echo.final_allocation);
+  EXPECT_EQ(run.replay.signature, echo.signature);
+  EXPECT_TRUE(run.replay.final_allocation == echo.final_allocation);
+}
+
+TEST(HealthMonitor, TrailingExpiryPastTheLastBeatIsReplayed) {
+  // Generated traces keep quiet tail beats, so they never reach the final
+  // advance_to(horizon).  Hand-build one that does: server 0 goes down at
+  // t = 7 and stays down past the horizon.  Its last beat is at 6, so its
+  // deadline is 9; the other servers' last beats land at 9, not strictly
+  // past it, so only the trailing advance_to(9.5) can infer the failure.
+  ChaosGenConfig cfg;
+  cfg.beat_interval_s = 1.0;
+  cfg.timeout_beats = 3.0;
+  ChaosWorld world = make_chaos_world(5, {40, 2}, cfg);
+  ChaosTrace trace;
+  trace.num_servers = world.platform.num_servers();
+  trace.beat_interval_s = 1.0;
+  trace.horizon_s = 9.5;
+  ChaosFault fault;
+  fault.cls = ChaosClass::RackFailure;
+  fault.servers = {0};
+  fault.start_s = 7.0;
+  fault.down_s = 10.0;
+  fault.end_s = 17.0;
+  trace.faults.push_back(fault);
+  world.trace = trace;
+
+  const HealthMonitorOptions opts = monitor_options(cfg, 5);
+  const HealthMonitorResult run = run_health_monitor(
+      world.apps, world.platform, world.catalog, world.trace, opts);
+
+  ASSERT_FALSE(run.inferred.empty());
+  EXPECT_EQ(run.inferred.size(), 1u);
+  EXPECT_EQ(run.inferred.back().time, 9.0);
+  EXPECT_EQ(run.inferred.back().server, 0);
+  EXPECT_TRUE(run.inferred.back().down);
+  ASSERT_FALSE(run.replay.outcomes.empty());
+  const EventOutcome& last = run.replay.outcomes.back();
+  EXPECT_EQ(last.event.kind, EventKind::ServerFailure);
+  EXPECT_EQ(last.event.server, 0);
+  EXPECT_TRUE(last.repair.success);
+  EXPECT_EQ(run.score.detected, 1);
+  EXPECT_EQ(run.score.repaired, 1);
+
+  EventTrace expected;
+  WorkloadEvent failure;
+  failure.time = 9.0;
+  failure.kind = EventKind::ServerFailure;
+  failure.server = 0;
+  expected.events.push_back(failure);
+  const ScenarioResult reference = replay_trace(
+      world.apps, world.platform, world.catalog, expected, opts.replay);
+  EXPECT_EQ(run.replay.signature, reference.signature);
 }
 
 } // namespace

@@ -78,11 +78,11 @@ TEST(ReplaySignatureGolden, BenchChaosSmokeSignaturesArePinned) {
     const benchx::ChaosWorld world = benchx::make_chaos_world(
         42, benchx::chaos_smoke_scale(), benchx::chaos_smoke_config(cls));
     HealthMonitorOptions opts;
-    opts.seed = 42;
-    opts.simulate = false;
+    opts.replay.seed = 42;
+    opts.replay.simulate = false;
     const HealthMonitorResult run = run_health_monitor(
         world.apps, world.platform, world.catalog, world.trace, opts);
-    EXPECT_EQ(to_hex(run.signature), to_hex(golden.at(key)))
+    EXPECT_EQ(to_hex(run.replay.signature), to_hex(golden.at(key)))
         << to_string(cls);
   }
 }
