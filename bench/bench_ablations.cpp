@@ -216,61 +216,39 @@ std::vector<GapRow> run_gap_section(std::uint64_t seed, int reps) {
 void write_json(const std::string& path, std::uint64_t seed,
                 const std::vector<FoldRow>& rows,
                 const std::vector<GapRow>& gap_rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
+  JsonArtifact a{"ablations", 2, seed};
+  for (const FoldRow& r : rows) {
+    a.results.push_back(
+        JsonRow()
+            .add("section", "fold")
+            .add("rep", r.rep)
+            .add("num_apps", r.num_apps)
+            .add("operators_forest", r.operators_forest)
+            .add("operators_folded", r.operators_folded)
+            .add("shared_nodes", r.shared_nodes)
+            .add("predicted_work_saved", r.predicted_work_saved, 4)
+            .add("predicted_cost_bound", r.predicted_cost_bound, 4)
+            .add("realized_work_saved", r.realized_work_saved, 4)
+            .add("unfolded_cost", r.unfolded_cost, 2)
+            .add("folded_cost", r.folded_cost, 2)
+            .add("realized_cost_saving", r.realized_cost_saving, 2)
+            .add("both_allocated", r.both_allocated)
+            .add("unfolded_sustained", r.unfolded_sustained)
+            .add("folded_sustained", r.folded_sustained));
   }
-  std::fprintf(f, "{\n  \"bench\": \"ablations\",\n");
-  std::fprintf(f, "  \"schema_version\": 2,\n");
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(seed));
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const FoldRow& r = rows[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"section\": \"fold\",\n");
-    std::fprintf(f, "      \"rep\": %d,\n", r.rep);
-    std::fprintf(f, "      \"num_apps\": %d,\n", r.num_apps);
-    std::fprintf(f, "      \"operators_forest\": %d,\n", r.operators_forest);
-    std::fprintf(f, "      \"operators_folded\": %d,\n", r.operators_folded);
-    std::fprintf(f, "      \"shared_nodes\": %d,\n", r.shared_nodes);
-    std::fprintf(f, "      \"predicted_work_saved\": %.4f,\n",
-                 r.predicted_work_saved);
-    std::fprintf(f, "      \"predicted_cost_bound\": %.4f,\n",
-                 r.predicted_cost_bound);
-    std::fprintf(f, "      \"realized_work_saved\": %.4f,\n",
-                 r.realized_work_saved);
-    std::fprintf(f, "      \"unfolded_cost\": %.2f,\n", r.unfolded_cost);
-    std::fprintf(f, "      \"folded_cost\": %.2f,\n", r.folded_cost);
-    std::fprintf(f, "      \"realized_cost_saving\": %.2f,\n",
-                 r.realized_cost_saving);
-    std::fprintf(f, "      \"both_allocated\": %s,\n",
-                 r.both_allocated ? "true" : "false");
-    std::fprintf(f, "      \"unfolded_sustained\": %s,\n",
-                 r.unfolded_sustained ? "true" : "false");
-    std::fprintf(f, "      \"folded_sustained\": %s\n",
-                 r.folded_sustained ? "true" : "false");
-    const bool last = i + 1 == rows.size() && gap_rows.empty();
-    std::fprintf(f, "    }%s\n", last ? "" : ",");
+  for (const GapRow& r : gap_rows) {
+    a.results.push_back(JsonRow()
+                            .add("section", "optimality_gap")
+                            .add("n", r.n)
+                            .add("alpha", r.alpha, 2)
+                            .add("heuristic", r.heuristic)
+                            .add("attempts", r.attempts)
+                            .add("measured", r.measured)
+                            .add("gap_mean", r.gap_mean, 4)
+                            .add("gap_max", r.gap_max, 4)
+                            .add("nodes_total", r.nodes_total));
   }
-  for (std::size_t i = 0; i < gap_rows.size(); ++i) {
-    const GapRow& r = gap_rows[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"section\": \"optimality_gap\",\n");
-    std::fprintf(f, "      \"n\": %d,\n", r.n);
-    std::fprintf(f, "      \"alpha\": %.2f,\n", r.alpha);
-    std::fprintf(f, "      \"heuristic\": \"%s\",\n", r.heuristic.c_str());
-    std::fprintf(f, "      \"attempts\": %d,\n", r.attempts);
-    std::fprintf(f, "      \"measured\": %d,\n", r.measured);
-    std::fprintf(f, "      \"gap_mean\": %.4f,\n", r.gap_mean);
-    std::fprintf(f, "      \"gap_max\": %.4f,\n", r.gap_max);
-    std::fprintf(f, "      \"nodes_total\": %llu\n",
-                 static_cast<unsigned long long>(r.nodes_total));
-    std::fprintf(f, "    }%s\n", i + 1 < gap_rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  emit_json(a, path);
 }
 
 } // namespace
@@ -388,7 +366,6 @@ int main(int argc, char** argv) {
   }
 
   write_json(json_path, flags.seed, fold_rows, gap_rows);
-  std::printf("\njson written to %s\n", json_path.c_str());
 
   if (gate) {
     // The fold pass must realize savings, not just predict them: every

@@ -55,48 +55,31 @@ struct ClassResult {
 
 void write_json(const std::string& path, std::uint64_t seed,
                 const std::vector<ClassResult>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
+  JsonArtifact a{"chaos", 1, seed};
+  for (const ClassResult& r : results) {
+    a.results.push_back(
+        JsonRow()
+            .add("chaos_class", to_string(r.cls))
+            .add("num_operators", r.scale.n)
+            .add("initial_apps", r.scale.apps)
+            .add("faults", r.faults)
+            .add("truth_down", r.score.truth_down)
+            .add("detected", r.score.detected)
+            .add("repaired", r.score.repaired)
+            .add("recovered", r.score.recovered)
+            .add("detection_rate", r.detection_rate(), 4)
+            .add("mean_detection_beats", r.score.mean_detection_beats, 4)
+            .add("max_detection_beats", r.score.max_detection_beats, 4)
+            .add("median_repair_ms", r.median_repair_ms, 4)
+            .add("mean_recovery_beats", r.score.mean_recovery_beats, 4)
+            .add("max_recovery_beats", r.score.max_recovery_beats, 4)
+            .add("events_inferred", r.events)
+            .add("events_simulated", r.simulated)
+            .add("events_sustained", r.sustained)
+            .add("final_cost", r.final_cost, 2)
+            .add("signature", hex16(r.signature)));
   }
-  std::fprintf(f, "{\n  \"bench\": \"chaos\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(seed));
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ClassResult& r = results[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"chaos_class\": \"%s\",\n", to_string(r.cls));
-    std::fprintf(f, "      \"num_operators\": %d,\n", r.scale.n);
-    std::fprintf(f, "      \"initial_apps\": %d,\n", r.scale.apps);
-    std::fprintf(f, "      \"faults\": %d,\n", r.faults);
-    std::fprintf(f, "      \"truth_down\": %d,\n", r.score.truth_down);
-    std::fprintf(f, "      \"detected\": %d,\n", r.score.detected);
-    std::fprintf(f, "      \"repaired\": %d,\n", r.score.repaired);
-    std::fprintf(f, "      \"recovered\": %d,\n", r.score.recovered);
-    std::fprintf(f, "      \"detection_rate\": %.4f,\n", r.detection_rate());
-    std::fprintf(f, "      \"mean_detection_beats\": %.4f,\n",
-                 r.score.mean_detection_beats);
-    std::fprintf(f, "      \"max_detection_beats\": %.4f,\n",
-                 r.score.max_detection_beats);
-    std::fprintf(f, "      \"median_repair_ms\": %.4f,\n",
-                 r.median_repair_ms);
-    std::fprintf(f, "      \"mean_recovery_beats\": %.4f,\n",
-                 r.score.mean_recovery_beats);
-    std::fprintf(f, "      \"max_recovery_beats\": %.4f,\n",
-                 r.score.max_recovery_beats);
-    std::fprintf(f, "      \"events_inferred\": %d,\n", r.events);
-    std::fprintf(f, "      \"events_simulated\": %d,\n", r.simulated);
-    std::fprintf(f, "      \"events_sustained\": %d,\n", r.sustained);
-    std::fprintf(f, "      \"final_cost\": %.2f,\n", r.final_cost);
-    std::fprintf(f, "      \"signature\": \"%016llx\"\n",
-                 static_cast<unsigned long long>(r.signature));
-    std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  emit_json(a, path);
 }
 
 } // namespace
@@ -165,10 +148,9 @@ int main(int argc, char** argv) {
           r.median_repair_ms, r.score.mean_recovery_beats);
       std::printf(
           "      inferred %d events   repaired %d/%d   sim sustained %d/%d   "
-          "cost $%.0f   signature %016llx\n\n",
+          "cost $%.0f   signature %s\n\n",
           r.events, r.score.repaired, r.score.truth_down, r.sustained,
-          r.simulated, r.final_cost,
-          static_cast<unsigned long long>(r.signature));
+          r.simulated, r.final_cost, hex16(r.signature).c_str());
 
       if (r.detection_rate() < 0.95 || r.repaired_rate() < 0.95 ||
           r.sustained_rate() < 0.95) {
@@ -182,7 +164,6 @@ int main(int argc, char** argv) {
   }
 
   write_json(json_path, flags.seed, results);
-  std::printf("json written to %s\n", json_path.c_str());
   if (gate && !gate_ok) {
     std::fprintf(stderr, "chaos gate failed: some class fell below the 95%% "
                          "detect/repair/sustain thresholds\n");

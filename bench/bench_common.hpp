@@ -1,11 +1,14 @@
 // Shared plumbing for the figure-replication bench binaries: standard CLI
-// flags, paper-default instance configs, and the print-table/chart/CSV
-// epilogue every bench emits.
+// flags, paper-default instance configs, the print-table/chart/CSV
+// epilogue every sweep bench emits, and the JSON-artifact epilogue of the
+// BENCH_*.json benches.
 #pragma once
 
 #include <algorithm>
+#include <cerrno>
 #include <cstdio>
 #include <cstdlib>
+#include <cstring>
 #include <string>
 #include <utility>
 #include <vector>
@@ -142,6 +145,18 @@ inline void report(const SweepResult& result, const std::string& title,
     write_sweep_csv(result, csv_path);
     std::printf("csv written to %s\n", csv_path.c_str());
   }
+}
+
+/// Writes a bench's BENCH_*.json artifact.  A file that cannot be opened,
+/// written or closed is fatal: the path and the reason go to stderr and the
+/// bench exits 1, so "json written to" only ever names a complete file.
+inline void emit_json(const JsonArtifact& artifact, const std::string& path) {
+  if (!write_json_artifact(artifact, path)) {
+    std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
+                 std::strerror(errno));
+    std::exit(1);
+  }
+  std::printf("json written to %s\n", path.c_str());
 }
 
 } // namespace insp::benchx

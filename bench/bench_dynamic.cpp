@@ -72,56 +72,38 @@ struct ScaleResult {
 
 void write_json(const std::string& path, std::uint64_t seed,
                 const std::vector<ScaleResult>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
+  JsonArtifact a{"dynamic", 1, seed};
+  for (const ScaleResult& r : results) {
+    a.results.push_back(
+        JsonRow()
+            .add("num_operators", r.scale.n)
+            .add("initial_apps", r.scale.apps)
+            .add("events", r.scale.events)
+            .add("trace_arrivals", r.trace_arrivals)
+            .add("median_repair_ms", r.median_repair_ms, 4)
+            .add("median_scratch_ms", r.median_scratch_ms, 4)
+            .add("latency_speedup", r.latency_speedup, 2)
+            .add("repair_final_cost", r.repair_final_cost, 2)
+            .add("scratch_final_cost", r.scratch_final_cost, 2)
+            .add("cost_ratio", r.cost_ratio, 4)
+            .add("repair_fallbacks", r.repair_fallbacks)
+            .add("repair_failures", r.repair_failures)
+            .add("scratch_failures", r.scratch_failures)
+            .add("ops_moved", r.ops_moved)
+            .add("procs_bought", r.procs_bought)
+            .add("procs_retired", r.procs_retired)
+            .add("reconfigures", r.reconfigures)
+            .add("events_simulated", r.simulated)
+            .add("events_sustained", r.sustained)
+            .add("gap_events_comparable", r.gap_events_comparable)
+            .add("gap_events_measured", r.gap_events_measured)
+            .add("repair_gap_mean", r.repair_gap_mean, 4)
+            .add("repair_gap_max", r.repair_gap_max, 4)
+            .add("scratch_gap_mean", r.scratch_gap_mean, 4)
+            .add("scratch_gap_max", r.scratch_gap_max, 4)
+            .add("repair_signature", hex16(r.repair_signature)));
   }
-  std::fprintf(f, "{\n  \"bench\": \"dynamic\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(seed));
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const ScaleResult& r = results[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"num_operators\": %d,\n", r.scale.n);
-    std::fprintf(f, "      \"initial_apps\": %d,\n", r.scale.apps);
-    std::fprintf(f, "      \"events\": %d,\n", r.scale.events);
-    std::fprintf(f, "      \"trace_arrivals\": %d,\n", r.trace_arrivals);
-    std::fprintf(f, "      \"median_repair_ms\": %.4f,\n",
-                 r.median_repair_ms);
-    std::fprintf(f, "      \"median_scratch_ms\": %.4f,\n",
-                 r.median_scratch_ms);
-    std::fprintf(f, "      \"latency_speedup\": %.2f,\n", r.latency_speedup);
-    std::fprintf(f, "      \"repair_final_cost\": %.2f,\n",
-                 r.repair_final_cost);
-    std::fprintf(f, "      \"scratch_final_cost\": %.2f,\n",
-                 r.scratch_final_cost);
-    std::fprintf(f, "      \"cost_ratio\": %.4f,\n", r.cost_ratio);
-    std::fprintf(f, "      \"repair_fallbacks\": %d,\n", r.repair_fallbacks);
-    std::fprintf(f, "      \"repair_failures\": %d,\n", r.repair_failures);
-    std::fprintf(f, "      \"scratch_failures\": %d,\n", r.scratch_failures);
-    std::fprintf(f, "      \"ops_moved\": %d,\n", r.ops_moved);
-    std::fprintf(f, "      \"procs_bought\": %d,\n", r.procs_bought);
-    std::fprintf(f, "      \"procs_retired\": %d,\n", r.procs_retired);
-    std::fprintf(f, "      \"reconfigures\": %d,\n", r.reconfigures);
-    std::fprintf(f, "      \"events_simulated\": %d,\n", r.simulated);
-    std::fprintf(f, "      \"events_sustained\": %d,\n", r.sustained);
-    std::fprintf(f, "      \"gap_events_comparable\": %d,\n",
-                 r.gap_events_comparable);
-    std::fprintf(f, "      \"gap_events_measured\": %d,\n",
-                 r.gap_events_measured);
-    std::fprintf(f, "      \"repair_gap_mean\": %.4f,\n", r.repair_gap_mean);
-    std::fprintf(f, "      \"repair_gap_max\": %.4f,\n", r.repair_gap_max);
-    std::fprintf(f, "      \"scratch_gap_mean\": %.4f,\n", r.scratch_gap_mean);
-    std::fprintf(f, "      \"scratch_gap_max\": %.4f,\n", r.scratch_gap_max);
-    std::fprintf(f, "      \"repair_signature\": \"%016llx\"\n",
-                 static_cast<unsigned long long>(r.repair_signature));
-    std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  emit_json(a, path);
 }
 
 } // namespace
@@ -255,6 +237,5 @@ int main(int argc, char** argv) {
   }
 
   write_json(json_path, flags.seed, results);
-  std::printf("json written to %s\n", json_path.c_str());
   return 0;
 }

@@ -43,37 +43,22 @@ struct IlpRow {
 
 void write_json(const std::string& path, std::uint64_t seed,
                 const std::vector<IlpRow>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
+  JsonArtifact a{"ilp", 1, seed};
+  for (const IlpRow& r : rows) {
+    a.results.push_back(JsonRow()
+                            .add("n", r.n)
+                            .add("alpha", r.alpha, 2)
+                            .add("instances", r.instances)
+                            .add("solved", r.solved)
+                            .add("reference_solved", r.reference_solved)
+                            .add("nodes_incremental", r.nodes_incremental)
+                            .add("nodes_reference", r.nodes_reference)
+                            .add("node_ratio", r.node_ratio, 2)
+                            .add("costs_match", r.costs_match)
+                            .add("best_heuristic_ratio",
+                                 r.best_heuristic_ratio, 4));
   }
-  std::fprintf(f, "{\n  \"bench\": \"ilp\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(seed));
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const IlpRow& r = rows[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"n\": %d,\n", r.n);
-    std::fprintf(f, "      \"alpha\": %.2f,\n", r.alpha);
-    std::fprintf(f, "      \"instances\": %d,\n", r.instances);
-    std::fprintf(f, "      \"solved\": %d,\n", r.solved);
-    std::fprintf(f, "      \"reference_solved\": %d,\n", r.reference_solved);
-    std::fprintf(f, "      \"nodes_incremental\": %llu,\n",
-                 static_cast<unsigned long long>(r.nodes_incremental));
-    std::fprintf(f, "      \"nodes_reference\": %llu,\n",
-                 static_cast<unsigned long long>(r.nodes_reference));
-    std::fprintf(f, "      \"node_ratio\": %.2f,\n", r.node_ratio);
-    std::fprintf(f, "      \"costs_match\": %s,\n",
-                 r.costs_match ? "true" : "false");
-    std::fprintf(f, "      \"best_heuristic_ratio\": %.4f\n",
-                 r.best_heuristic_ratio);
-    std::fprintf(f, "    }%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  emit_json(a, path);
 }
 
 } // namespace
@@ -211,7 +196,6 @@ int main(int argc, char** argv) {
               aggregate_ratio);
 
   write_json(json_path, flags.seed, rows);
-  std::printf("json written to %s\n", json_path.c_str());
 
   if (gate) {
     // The incremental search must fully replace the reference: every

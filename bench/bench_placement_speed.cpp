@@ -160,51 +160,33 @@ struct SizeResult {
 
 void write_json(const std::string& path, std::uint64_t seed,
                 const std::vector<SizeResult>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
-  }
-  const unsigned hardware = std::thread::hardware_concurrency();
-  std::fprintf(f, "{\n  \"bench\": \"placement_speed\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(seed));
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hardware);
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const SizeResult& r = results[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"num_operators\": %d,\n", r.num_operators);
-    std::fprintf(f, "      \"live_processors\": %d,\n", r.live_processors);
-    std::fprintf(f, "      \"probes_per_sec_incremental\": %.1f,\n",
-                 r.probes_per_sec_incremental);
-    std::fprintf(f, "      \"probes_per_sec_copy_baseline\": %.1f,\n",
-                 r.probes_per_sec_copy);
-    std::fprintf(f, "      \"probe_speedup\": %.2f,\n", r.speedup);
-    std::fprintf(f, "      \"soa_probe_throughput\": %.1f,\n",
-                 r.soa_probe_throughput);
-    std::fprintf(f, "      \"scalar_scan_throughput\": %.1f,\n",
-                 r.scalar_scan_throughput);
-    std::fprintf(f, "      \"speedup_vs_scalar\": %.2f,\n",
-                 r.speedup_vs_scalar);
-    std::fprintf(f, "      \"verdicts_match\": %s,\n",
-                 r.verdicts_match ? "true" : "false");
-    std::fprintf(f, "      \"hardware_concurrency\": %u,\n", hardware);
-    std::fprintf(f, "      \"allocate\": [\n");
-    for (std::size_t j = 0; j < r.allocate.size(); ++j) {
-      const AllocateTiming& a = r.allocate[j];
-      std::fprintf(f,
-                   "        {\"heuristic\": \"%s\", \"mean_ms\": %.3f, "
-                   "\"failures\": %d}%s\n",
-                   a.name.c_str(), a.mean_ms, a.failures,
-                   j + 1 < r.allocate.size() ? "," : "");
+  const std::uint64_t hardware = std::thread::hardware_concurrency();
+  JsonArtifact a{"placement_speed", 1, seed};
+  a.extra.add("hardware_concurrency", hardware);
+  for (const SizeResult& r : results) {
+    std::vector<JsonRow> allocate;
+    for (const AllocateTiming& t : r.allocate) {
+      allocate.push_back(JsonRow()
+                             .add("heuristic", t.name)
+                             .add("mean_ms", t.mean_ms, 3)
+                             .add("failures", t.failures));
     }
-    std::fprintf(f, "      ]\n");
-    std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
+    a.results.push_back(
+        JsonRow()
+            .add("num_operators", r.num_operators)
+            .add("live_processors", r.live_processors)
+            .add("probes_per_sec_incremental",
+                 r.probes_per_sec_incremental, 1)
+            .add("probes_per_sec_copy_baseline", r.probes_per_sec_copy, 1)
+            .add("probe_speedup", r.speedup, 2)
+            .add("soa_probe_throughput", r.soa_probe_throughput, 1)
+            .add("scalar_scan_throughput", r.scalar_scan_throughput, 1)
+            .add("speedup_vs_scalar", r.speedup_vs_scalar, 2)
+            .add("verdicts_match", r.verdicts_match)
+            .add("hardware_concurrency", hardware)
+            .add("allocate", allocate));
   }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  emit_json(a, path);
 }
 
 } // namespace
@@ -324,7 +306,6 @@ int main(int argc, char** argv) {
   }
 
   write_json(json_path, flags.seed, results);
-  std::printf("\njson written to %s\n", json_path.c_str());
   for (const SizeResult& r : results) {
     if (!r.verdicts_match) return 1;  // batch kernel diverged from scalar
   }

@@ -128,41 +128,28 @@ RowResult run_row(const std::vector<ShardSpec>& specs,
 }
 
 void write_json(const std::string& path, std::uint64_t seed,
-                unsigned hardware, const std::vector<RowResult>& results) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
+                std::uint64_t hardware,
+                const std::vector<RowResult>& results) {
+  JsonArtifact a{"service", 1, seed};
+  a.extra.add("hardware_concurrency", hardware);
+  for (const RowResult& r : results) {
+    a.results.push_back(JsonRow()
+                            .add("num_operators", r.row.n_total)
+                            .add("shards", r.row.shards)
+                            .add("worker_threads", r.row.workers)
+                            .add("events", r.requests)
+                            .add("events_applied", r.events_applied)
+                            .add("events_coalesced", r.events_coalesced)
+                            .add("failures", r.failures)
+                            .add("events_per_sec", r.events_per_sec, 1)
+                            .add("p50_ms", r.p50_ms, 4)
+                            .add("p99_ms", r.p99_ms, 4)
+                            .add("speedup_vs_1worker",
+                                 r.speedup_vs_1worker, 2)
+                            .add("hardware_concurrency", hardware)
+                            .add("signatures_match", r.signatures_match));
   }
-  std::fprintf(f, "{\n  \"bench\": \"service\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(seed));
-  std::fprintf(f, "  \"hardware_concurrency\": %u,\n", hardware);
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < results.size(); ++i) {
-    const RowResult& r = results[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"num_operators\": %d,\n", r.row.n_total);
-    std::fprintf(f, "      \"shards\": %d,\n", r.row.shards);
-    std::fprintf(f, "      \"worker_threads\": %d,\n", r.row.workers);
-    std::fprintf(f, "      \"events\": %llu,\n",
-                 static_cast<unsigned long long>(r.requests));
-    std::fprintf(f, "      \"events_applied\": %d,\n", r.events_applied);
-    std::fprintf(f, "      \"events_coalesced\": %d,\n", r.events_coalesced);
-    std::fprintf(f, "      \"failures\": %d,\n", r.failures);
-    std::fprintf(f, "      \"events_per_sec\": %.1f,\n", r.events_per_sec);
-    std::fprintf(f, "      \"p50_ms\": %.4f,\n", r.p50_ms);
-    std::fprintf(f, "      \"p99_ms\": %.4f,\n", r.p99_ms);
-    std::fprintf(f, "      \"speedup_vs_1worker\": %.2f,\n",
-                 r.speedup_vs_1worker);
-    std::fprintf(f, "      \"hardware_concurrency\": %u,\n", hardware);
-    std::fprintf(f, "      \"signatures_match\": %s\n",
-                 r.signatures_match ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < results.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  emit_json(a, path);
 }
 
 } // namespace
@@ -285,7 +272,6 @@ int main(int argc, char** argv) {
   }
 
   write_json(json_path, flags.seed, hardware, results);
-  std::printf("json written to %s\n", json_path.c_str());
   if (!all_match) return 1;
   if (gate && !gate_pass) return 1;
   return 0;

@@ -170,38 +170,23 @@ double time_ms_per_run(int reps, F&& run) {
 
 void write_json(const std::string& path, std::uint64_t seed,
                 const std::vector<Row>& rows) {
-  std::FILE* f = std::fopen(path.c_str(), "w");
-  if (f == nullptr) {
-    std::fprintf(stderr, "cannot write %s\n", path.c_str());
-    return;
+  JsonArtifact a{"sim", 1, seed};
+  for (const Row& r : rows) {
+    a.results.push_back(JsonRow()
+                            .add("num_operators", r.n)
+                            .add("num_processors", r.procs)
+                            .add("crossing_edges", r.crossing)
+                            .add("periods", r.periods)
+                            .add("periods_simulated", r.periods_simulated)
+                            .add("reps", r.reps)
+                            .add("rho_star", r.rho_star, 4)
+                            .add("dense_ms_per_run", r.dense_ms, 4)
+                            .add("sparse_ms_per_run", r.sparse_ms, 4)
+                            .add("speedup", r.speedup, 2)
+                            .add("sustained", r.sustained)
+                            .add("identical_results", r.identical));
   }
-  std::fprintf(f, "{\n  \"bench\": \"sim\",\n");
-  std::fprintf(f, "  \"schema_version\": 1,\n");
-  std::fprintf(f, "  \"seed\": %llu,\n",
-               static_cast<unsigned long long>(seed));
-  std::fprintf(f, "  \"results\": [\n");
-  for (std::size_t i = 0; i < rows.size(); ++i) {
-    const Row& r = rows[i];
-    std::fprintf(f, "    {\n");
-    std::fprintf(f, "      \"num_operators\": %d,\n", r.n);
-    std::fprintf(f, "      \"num_processors\": %d,\n", r.procs);
-    std::fprintf(f, "      \"crossing_edges\": %d,\n", r.crossing);
-    std::fprintf(f, "      \"periods\": %d,\n", r.periods);
-    std::fprintf(f, "      \"periods_simulated\": %d,\n",
-                 r.periods_simulated);
-    std::fprintf(f, "      \"reps\": %d,\n", r.reps);
-    std::fprintf(f, "      \"rho_star\": %.4f,\n", r.rho_star);
-    std::fprintf(f, "      \"dense_ms_per_run\": %.4f,\n", r.dense_ms);
-    std::fprintf(f, "      \"sparse_ms_per_run\": %.4f,\n", r.sparse_ms);
-    std::fprintf(f, "      \"speedup\": %.2f,\n", r.speedup);
-    std::fprintf(f, "      \"sustained\": %s,\n",
-                 r.sustained ? "true" : "false");
-    std::fprintf(f, "      \"identical_results\": %s\n",
-                 r.identical ? "true" : "false");
-    std::fprintf(f, "    }%s\n", i + 1 < rows.size() ? "," : "");
-  }
-  std::fprintf(f, "  ]\n}\n");
-  std::fclose(f);
+  emit_json(a, path);
 }
 
 } // namespace
@@ -271,7 +256,6 @@ int main(int argc, char** argv) {
   }
 
   write_json(json_path, flags.seed, rows);
-  std::printf("\njson written to %s\n", json_path.c_str());
   // The cores must agree bit-exactly on every row; a mismatch is a
   // correctness failure, not a slow row.
   for (const Row& row : rows) {

@@ -2,7 +2,9 @@
 """Shared schema check for the BENCH_*.json artifacts.
 
 Every bench binary that emits machine-readable JSON (bench_placement_speed,
-bench_dynamic, bench_sim_speed, ...) follows one envelope:
+bench_dynamic, bench_sim_speed, ...) writes it through the one artifact
+writer, write_json_artifact in src/bench_support/reporting.hpp, so all of
+them follow one envelope:
 
     {
       "bench": "<name>",          # non-empty string

@@ -1,5 +1,6 @@
 #include "bench_support/reporting.hpp"
 
+#include <cerrno>
 #include <cmath>
 #include <cstdio>
 #include <iomanip>
@@ -69,6 +70,15 @@ std::string fail_cell(const SweepCell& c) {
   return buf;
 }
 
+std::string join(const std::vector<std::string>& parts, const char* sep) {
+  std::string out;
+  for (std::size_t i = 0; i < parts.size(); ++i) {
+    if (i > 0) out += sep;
+    out += parts[i];
+  }
+  return out;
+}
+
 } // namespace
 
 std::string format_cost_table(const SweepResult& result) {
@@ -128,6 +138,55 @@ void write_sweep_csv(const SweepResult& result, const std::string& path) {
       csv.end_row();
     }
   }
+}
+
+JsonRow& JsonRow::add(const char* key, double v, int decimals) {
+  std::string text(std::snprintf(nullptr, 0, "%.*f", decimals, v), '\0');
+  std::snprintf(text.data(), text.size() + 1, "%.*f", decimals, v);
+  return raw(key, text);
+}
+
+JsonRow& JsonRow::add(const char* key, const std::vector<JsonRow>& table) {
+  std::vector<std::string> entries;
+  for (const JsonRow& row : table) {
+    entries.push_back("{" + join(row.members_, ", ") + "}");
+  }
+  return raw(key, "[\n        " + join(entries, ",\n        ") + "\n      ]");
+}
+
+std::string hex16(std::uint64_t v) {
+  char buf[17];
+  std::snprintf(buf, sizeof(buf), "%016llx",
+                static_cast<unsigned long long>(v));
+  return buf;
+}
+
+std::string render_json_artifact(const JsonArtifact& artifact) {
+  JsonRow top;
+  top.add("bench", artifact.bench)
+      .add("schema_version", artifact.schema_version)
+      .add("seed", artifact.seed);
+  top.members_.insert(top.members_.end(), artifact.extra.members_.begin(),
+                      artifact.extra.members_.end());
+  std::vector<std::string> rows;
+  for (const JsonRow& row : artifact.results) {
+    rows.push_back("{\n      " + join(row.members_, ",\n      ") + "\n    }");
+  }
+  top.raw("results", "[\n    " + join(rows, ",\n    ") + "\n  ]");
+  return "{\n  " + join(top.members_, ",\n  ") + "\n}\n";
+}
+
+bool write_json_artifact(const JsonArtifact& artifact,
+                         const std::string& path) {
+  const std::string text = render_json_artifact(artifact);
+  std::FILE* f = std::fopen(path.c_str(), "w");
+  if (f == nullptr) return false;
+  const bool written = std::fwrite(text.data(), 1, text.size(), f) ==
+                       text.size();
+  const int write_errno = errno;
+  const bool closed = std::fclose(f) == 0;
+  if (!written) errno = write_errno;
+  return written && closed;
 }
 
 } // namespace insp

@@ -60,15 +60,20 @@ PlacementOutcome place_random_pair_grouping(PlacementState& state, Rng& rng) {
     };
 
     if (buy_cheapest_for({op})) continue;
-    // Literal pair grouping: the neighbor with the most demanding edge.
-    const auto nbs = state.neighbors(op);
-    if (nbs.empty()) {
+    // Literal pair grouping: the neighbor with the most demanding edge (the
+    // first one on a tie).
+    int partner = -1;
+    MBps partner_volume = 0.0;
+    state.visit_neighbors(op, [&](int nb, MBps volume) {
+      if (partner < 0 || volume > partner_volume) {
+        partner = nb;
+        partner_volume = volume;
+      }
+    });
+    if (partner < 0) {
       return {false, "random-pair: isolated operator fits nowhere"};
     }
-    const auto partner = *std::max_element(
-        nbs.begin(), nbs.end(),
-        [](const auto& a, const auto& b) { return a.second < b.second; });
-    if (!buy_cheapest_for({op, partner.first})) {
+    if (!buy_cheapest_for({op, partner})) {
       return {false, "random-pair: pair around op " + std::to_string(op) +
                          " fits on no processor"};
     }

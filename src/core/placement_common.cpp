@@ -17,8 +17,8 @@ std::vector<std::pair<int, MBps>> group_frontier(
     return std::find(group.begin(), group.end(), op) != group.end();
   };
   for (int member : group) {
-    for (const auto& [nb, volume] : state.neighbors(member)) {
-      if (in_group(nb)) continue;
+    state.visit_neighbors(member, [&](int nb, MBps volume) {
+      if (in_group(nb)) return;
       auto it = std::find_if(frontier.begin(), frontier.end(),
                              [&](const auto& f) { return f.first == nb; });
       if (it == frontier.end()) {
@@ -26,7 +26,7 @@ std::vector<std::pair<int, MBps>> group_frontier(
       } else {
         it->second = std::max(it->second, volume);
       }
-    }
+    });
   }
   return frontier;
 }

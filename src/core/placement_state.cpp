@@ -71,14 +71,6 @@ const std::vector<int>& PlacementState::ops_on(int pid) const {
   return proc(pid).ops;
 }
 
-std::vector<std::pair<int, MBps>> PlacementState::neighbors(int op) const {
-  std::vector<std::pair<int, MBps>> out;
-  for_each_neighbor(op, [&](int nb, MBps volume) {
-    out.emplace_back(nb, volume);
-  });
-  return out;
-}
-
 // --- transactions ----------------------------------------------------------
 
 void PlacementState::begin_txn(TxnMode mode) {
@@ -463,7 +455,7 @@ bool PlacementState::batch_footprint(const int* ops, std::size_t n,
     const int src = proc_of(b);
     if (src == kNoNode) continue;
     bool has_earlier = false;
-    for_each_neighbor(b, [&](int a, MBps /*volume*/) {
+    visit_neighbors(b, [&](int a, MBps /*volume*/) {
       const int pa = batch_group_pos_[static_cast<std::size_t>(a)];
       if (pa != 0 && static_cast<std::size_t>(pa - 1) < ib) has_earlier = true;
     });

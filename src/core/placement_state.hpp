@@ -206,17 +206,20 @@ class PlacementState {
   /// server-selection phase).  Requires all operators assigned.
   Allocation to_allocation() const;
 
-  /// Graph neighbors (consumers + operator children) of `op`, with the data
-  /// volume (rho * delta) carried by the connecting edge.
-  std::vector<std::pair<int, MBps>> neighbors(int op) const;
-
-  /// Allocation-free neighbors(): calls fn(neighbor op, rho * edge volume)
-  /// for each consumer (out-edges first, in order) and each operator child,
-  /// in the same order neighbors() lists them.  On trees this is the
-  /// historical parent-then-children order.
+  /// Graph neighbors of `op`: calls fn(neighbor op, rho * edge volume) for
+  /// each consumer (out-edges in order, so on trees the parent comes first)
+  /// and then each operator child.  Allocation-free; defined here so it
+  /// instantiates in every caller's TU.
   template <typename Fn>
   void visit_neighbors(int op, Fn&& fn) const {
-    for_each_neighbor(op, static_cast<Fn&&>(fn));
+    const OperatorTree& tree = *problem_.tree;
+    const auto& n = tree.op(op);
+    for (const OutEdge& e : n.out) {
+      fn(e.dst, problem_.rho * e.delta);
+    }
+    for (int c : n.children) {
+      fn(c, problem_.rho * tree.op(c).output_mb);
+    }
   }
 
  private:
@@ -279,21 +282,6 @@ class PlacementState {
 
   void assign_op(int op, int pid);
   void unassign_op(int op);
-  /// Calls fn(neighbor op, rho * edge volume) for each consumer (out-edges
-  /// in order, so the tree parent comes first) and each operator child,
-  /// exactly like neighbors() but allocation-free.  Defined here so the
-  /// public visit_neighbors() wrapper instantiates in every caller's TU.
-  template <typename Fn>
-  void for_each_neighbor(int op, Fn&& fn) const {
-    const OperatorTree& tree = *problem_.tree;
-    const auto& n = tree.op(op);
-    for (const OutEdge& e : n.out) {
-      fn(e.dst, problem_.rho * e.delta);
-    }
-    for (int c : n.children) {
-      fn(c, problem_.rho * tree.op(c).output_mb);
-    }
-  }
 
   ProcState& proc(int pid) { return procs_[static_cast<std::size_t>(pid)]; }
   const ProcState& proc(int pid) const {

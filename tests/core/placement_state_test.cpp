@@ -179,7 +179,10 @@ TEST(PlacementState, NeighborsReturnsParentAndChildrenWithVolumes) {
   const Problem p = f.problem();
   PlacementState st(p);
   // n2 (id 3): parent n5 (id 1), child n1 (id 4).
-  const auto nbs = st.neighbors(3);
+  std::vector<std::pair<int, MBps>> nbs;
+  st.visit_neighbors(3, [&](int nb, MBps volume) {
+    nbs.emplace_back(nb, volume);
+  });
   ASSERT_EQ(nbs.size(), 2u);
   EXPECT_EQ(nbs[0].first, 1);
   EXPECT_DOUBLE_EQ(nbs[0].second, 40.0);  // n2's own output to its parent

@@ -8,7 +8,6 @@
 // the golden file in the same commit, saying why.
 #include <gtest/gtest.h>
 
-#include <cstdio>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -16,6 +15,7 @@
 
 #include "bench_support/chaos_world.hpp"
 #include "bench_support/dynamic_world.hpp"
+#include "bench_support/reporting.hpp"
 #include "dynamic/scenario_engine.hpp"
 #include "health/health_monitor.hpp"
 #include "service/service_replay.hpp"
@@ -43,13 +43,6 @@ std::map<std::string, std::uint64_t> load_golden() {
   return golden;
 }
 
-std::string to_hex(std::uint64_t v) {
-  char buf[17];
-  std::snprintf(buf, sizeof buf, "%016llx",
-                static_cast<unsigned long long>(v));
-  return buf;
-}
-
 TEST(ReplaySignatureGolden, BenchDynamicSmokeSignatureIsPinned) {
   const auto golden = load_golden();
   ASSERT_TRUE(golden.count("bench_dynamic_smoke"));
@@ -62,8 +55,8 @@ TEST(ReplaySignatureGolden, BenchDynamicSmokeSignatureIsPinned) {
   opts.simulate = false;
   const ScenarioResult result = replay_trace(
       world.apps, world.platform, world.catalog, world.trace, opts);
-  EXPECT_EQ(to_hex(result.signature),
-            to_hex(golden.at("bench_dynamic_smoke")));
+  EXPECT_EQ(hex16(result.signature),
+            hex16(golden.at("bench_dynamic_smoke")));
 }
 
 TEST(ReplaySignatureGolden, BenchChaosSmokeSignaturesArePinned) {
@@ -82,7 +75,7 @@ TEST(ReplaySignatureGolden, BenchChaosSmokeSignaturesArePinned) {
     opts.replay.simulate = false;
     const HealthMonitorResult run = run_health_monitor(
         world.apps, world.platform, world.catalog, world.trace, opts);
-    EXPECT_EQ(to_hex(run.replay.signature), to_hex(golden.at(key)))
+    EXPECT_EQ(hex16(run.replay.signature), hex16(golden.at(key)))
         << to_string(cls);
   }
 }
@@ -104,7 +97,7 @@ TEST(ReplaySignatureGolden, BenchServiceSmokeSignaturesArePinned) {
     const ShardReplayResult ref =
         replay_shard_sequential(spec, shard, opts);
     EXPECT_TRUE(ref.initialized);
-    EXPECT_EQ(to_hex(ref.signature), to_hex(golden.at(key)))
+    EXPECT_EQ(hex16(ref.signature), hex16(golden.at(key)))
         << "shard " << shard;
   }
 }
