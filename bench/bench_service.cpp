@@ -167,13 +167,14 @@ int main(int argc, char** argv) {
   std::vector<int> n_totals, shard_counts, worker_counts;
   int events_per_shard;
   if (smoke) {
-    n_totals = {40};
     shard_counts = {2};
     worker_counts = {1, 2};
-    // A gated smoke run needs enough events for the speedup measurement to
-    // rise above scheduler noise; a plain smoke run just exercises the
-    // machinery.
-    events_per_shard = gate ? 120 : 24;
+    // A gated smoke run times the 1 -> 2 worker speedup, so its row must be
+    // long enough to rise above scheduler noise on a shared host: N=400
+    // shards with 800 events each keep the 1-worker run above 100 ms.  A
+    // plain smoke run just exercises the machinery.
+    n_totals = {gate ? 400 : 40};
+    events_per_shard = gate ? 800 : 24;
   } else {
     n_totals = {200, 400};
     shard_counts = {2, 4, 8};

@@ -23,6 +23,13 @@ enum class GroupConfigPolicy {
 /// retried — the paper's pairwise grouping, iterated transitively.  Assigned
 /// group members are pulled out of their processors (which are sold when
 /// emptied).  Returns the processor id, or nullopt with `why` filled.
+///
+/// Both policies run one purchase path: each growth step judges the policy's
+/// configurations (every one cheapest first, or the most expensive alone)
+/// on the lifted group (PlacementState's group lift, docs/DESIGN.md §10),
+/// and only a configuration the verdict admits is bought and committed with
+/// try_place.  A rejected step therefore buys nothing and consumes no
+/// processor id.
 std::optional<int> place_with_grouping(PlacementState& state, int seed,
                                        GroupConfigPolicy policy,
                                        std::string* why);

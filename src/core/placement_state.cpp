@@ -418,55 +418,116 @@ bool PlacementState::can_place_relaxed(int op, int pid) {
 
 // --- batched probes (docs/DESIGN.md §10) ------------------------------------
 
-bool PlacementState::batch_footprint(const int* ops, std::size_t n,
-                                     bool relaxed) {
-  assert(txn_mode_ == TxnMode::kNone);
-  const OperatorTree& tree = *problem_.tree;
-  const PriceCatalog& cat = *problem_.catalog;
-
-  // Deduplicate preserving order: the sequential probe skips an operator's
-  // second occurrence (it is already on the target by then).
+void PlacementState::begin_group_lift() {
+  assert(!lift_open_);
+  for (int op : batch_group_) {
+    batch_group_pos_[static_cast<std::size_t>(op)] = 0;
+  }
+  for (const auto& f : frontier_) {
+    frontier_slot_[static_cast<std::size_t>(f.first)] = 0;
+  }
   batch_group_.clear();
-  batch_group_pos_.assign(op_to_proc_.size(), 0);
-  for (std::size_t gi = 0; gi < n; ++gi) {
-    const int op = ops[gi];
-    int& pos = batch_group_pos_[static_cast<std::size_t>(op)];
-    if (pos == 0) {
-      batch_group_.push_back(op);
-      pos = static_cast<int>(batch_group_.size());
+  batch_transient_.clear();
+  frontier_.clear();
+  frontier_visited_ = 0;
+  batch_group_pos_.resize(op_to_proc_.size(), 0);
+  frontier_slot_.resize(op_to_proc_.size(), 0);
+  begin_txn(TxnMode::kFull);
+  lift_open_ = true;
+}
+
+void PlacementState::lift_member(int op) {
+  if (!lift_open_) {
+    // Re-lift after end_group_lift(): the same unassign sequence again.
+    begin_txn(TxnMode::kFull);
+    lift_open_ = true;
+    for (int m : batch_group_) {
+      if (proc_of(m) != kNoNode) unassign_op(m);
     }
   }
-  proc_is_source_.assign(procs_.size(), 0);
-  for (int op : batch_group_) {
-    const int src = proc_of(op);
-    if (src != kNoNode) proc_is_source_[static_cast<std::size_t>(src)] = 1;
-  }
-  if (batch_group_.empty()) return false;
-
-  // Transient sources: when group member b (assigned at src_b) has a group
-  // neighbor that moves BEFORE it, the sequential probe realizes their edge
-  // toward src_b for a moment — touching link (candidate, src_b) with net
-  // zero volume but still validating it at its baseline value.  Recorded
-  // here (before the baseline erases proc_of) and folded in below as
-  // zero-volume ext entries so the strict verdict checks the same links.
-  batch_transient_.clear();
-  for (std::size_t ib = 0; ib < batch_group_.size(); ++ib) {
-    const int b = batch_group_[ib];
-    const int src = proc_of(b);
-    if (src == kNoNode) continue;
+  // Deduplicate preserving order: the sequential probe skips an operator's
+  // second occurrence (it is already on the target by then).
+  int& pos = batch_group_pos_[static_cast<std::size_t>(op)];
+  if (pos != 0) return;
+  const int src = proc_of(op);
+  if (src != kNoNode) {
+    // Transient source: when a member has a group neighbor that moves
+    // BEFORE it, the sequential probe realizes their edge toward its source
+    // for a moment — touching link (candidate, src) with net zero volume but
+    // still validating it at its baseline value.  Every current member moves
+    // before `op`, so the flag is final now; footprint_from_baseline folds
+    // it in as a zero-volume ext entry so the strict verdict checks the
+    // same links.
     bool has_earlier = false;
-    visit_neighbors(b, [&](int a, MBps /*volume*/) {
-      const int pa = batch_group_pos_[static_cast<std::size_t>(a)];
-      if (pa != 0 && static_cast<std::size_t>(pa - 1) < ib) has_earlier = true;
+    visit_neighbors(op, [&](int a, MBps /*volume*/) {
+      if (batch_group_pos_[static_cast<std::size_t>(a)] != 0) {
+        has_earlier = true;
+      }
     });
     if (has_earlier) batch_transient_.push_back(src);
   }
+  batch_group_.push_back(op);
+  pos = static_cast<int>(batch_group_.size());
+  if (src != kNoNode) unassign_op(op);
+}
 
-  // Journal baseline: the world without the group.
-  begin_txn(TxnMode::kFull);
-  for (int op : batch_group_) {
-    if (proc_of(op) != kNoNode) unassign_op(op);
+void PlacementState::end_group_lift() {
+  if (!lift_open_) return;
+  lift_open_ = false;
+  rollback_txn();
+}
+
+int PlacementState::heaviest_group_neighbor(MBps* volume) {
+  for (; frontier_visited_ < batch_group_.size(); ++frontier_visited_) {
+    visit_neighbors(batch_group_[frontier_visited_], [&](int nb, MBps vol) {
+      if (batch_group_pos_[static_cast<std::size_t>(nb)] != 0) return;
+      int& slot = frontier_slot_[static_cast<std::size_t>(nb)];
+      if (slot == 0) {
+        frontier_.emplace_back(nb, vol);
+        slot = static_cast<int>(frontier_.size());
+      } else {
+        MBps& best = frontier_[static_cast<std::size_t>(slot - 1)].second;
+        best = std::max(best, vol);
+      }
+    });
   }
+  int best = kNoNode;
+  MBps best_vol = 0.0;
+  for (const auto& [nb, vol] : frontier_) {
+    // Entries that joined the group since they were found are skipped.
+    if (batch_group_pos_[static_cast<std::size_t>(nb)] != 0) continue;
+    if (best == kNoNode || vol > best_vol || (vol == best_vol && nb < best)) {
+      best = nb;
+      best_vol = vol;
+    }
+  }
+  if (volume) *volume = best_vol;
+  return best;
+}
+
+const std::vector<unsigned char>& PlacementState::lifted_verdicts(
+    const ProcessorConfig* configs, std::size_t n) {
+  assert(lift_open_);
+  batch_verdicts_.assign(n, 1);
+  // An empty move is vacuously feasible everywhere.
+  if (n == 0 || batch_group_.empty()) return batch_verdicts_;
+  footprint_from_baseline(/*relaxed=*/false);
+  const PriceCatalog& cat = *problem_.catalog;
+  batch_speed_caps_.resize(n);
+  batch_bw_caps_.resize(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    batch_speed_caps_[i] = cat.speed(configs[i]);
+    batch_bw_caps_[i] = cat.bandwidth(configs[i]);
+  }
+  soa_probe_configs(fp_, batch_speed_caps_.data(), batch_bw_caps_.data(), n,
+                    batch_verdicts_.data());
+  return batch_verdicts_;
+}
+
+void PlacementState::footprint_from_baseline(bool relaxed) {
+  assert(lift_open_ && !batch_group_.empty());
+  const OperatorTree& tree = *problem_.tree;
+  const PriceCatalog& cat = *problem_.catalog;
 
   fp_.rho = problem_.rho;
   fp_.relaxed = relaxed;
@@ -477,7 +538,8 @@ bool PlacementState::batch_footprint(const int* ops, std::size_t n,
   fp_.gtype_rate.clear();
   fp_.ext_pid.clear();
   fp_.ext_vol.clear();
-  batch_ext_slot_.assign(procs_.size(), -1);
+  // All -1 between calls: only the slots used below are reset at the end.
+  batch_ext_slot_.resize(procs_.size(), -1);
   const auto slot_add = [&](int q, MBps volume) {
     int slot = batch_ext_slot_[static_cast<std::size_t>(q)];
     if (slot < 0) {
@@ -625,18 +687,26 @@ bool PlacementState::batch_footprint(const int* ops, std::size_t n,
   // non-negative and fits_within is monotone, so the conjunction is exact).
   // Relaxed: vacuous — the baseline only removes volume.
   fp_.base_links_ok = relaxed ? true : pp_links_.touched_within();
-  return true;
+  for (int q : fp_.ext_pid) batch_ext_slot_[static_cast<std::size_t>(q)] = -1;
 }
 
 void PlacementState::batch_probe(const int* ops, std::size_t n,
                                  const int* pids, std::size_t num,
                                  bool relaxed, unsigned char* verdicts) {
   if (num == 0) return;
-  if (!batch_footprint(ops, n, relaxed)) {
+  if (n == 0) {
     // Empty move: the sequential probe touches nothing and reports true.
     std::fill(verdicts, verdicts + num, 1);
     return;
   }
+  proc_is_source_.assign(procs_.size(), 0);
+  for (std::size_t i = 0; i < n; ++i) {
+    const int src = proc_of(ops[i]);
+    if (src != kNoNode) proc_is_source_[static_cast<std::size_t>(src)] = 1;
+  }
+  begin_group_lift();
+  for (std::size_t i = 0; i < n; ++i) lift_member(ops[i]);
+  footprint_from_baseline(relaxed);
   bool any_skip = false;
   batch_skip_.assign(num, 0);
   for (std::size_t i = 0; i < num; ++i) {
@@ -715,7 +785,7 @@ void PlacementState::batch_probe(const int* ops, std::size_t n,
     }
   }
 
-  rollback_txn();
+  end_group_lift();
 
   soa_probe_candidates(soa_, fp_, pids, num, batch_dl_add_.data(),
                        batch_link_base_.data(),
@@ -776,22 +846,11 @@ int PlacementState::first_feasible_target(int op, const std::vector<int>& pids,
 void PlacementState::can_place_on_new_batch(
     const std::vector<int>& ops, const std::vector<ProcessorConfig>& configs,
     std::vector<unsigned char>& verdicts) {
-  verdicts.assign(configs.size(), 0);
-  if (configs.empty()) return;
-  if (!batch_footprint(ops.data(), ops.size(), /*relaxed=*/false)) {
-    std::fill(verdicts.begin(), verdicts.end(), 1);
-    return;
-  }
-  rollback_txn();
-  const PriceCatalog& cat = *problem_.catalog;
-  batch_speed_caps_.resize(configs.size());
-  batch_bw_caps_.resize(configs.size());
-  for (std::size_t i = 0; i < configs.size(); ++i) {
-    batch_speed_caps_[i] = cat.speed(configs[i]);
-    batch_bw_caps_[i] = cat.bandwidth(configs[i]);
-  }
-  soa_probe_configs(fp_, batch_speed_caps_.data(), batch_bw_caps_.data(),
-                    configs.size(), verdicts.data());
+  begin_group_lift();
+  for (int op : ops) lift_member(op);
+  const auto& lifted = lifted_verdicts(configs.data(), configs.size());
+  verdicts.assign(lifted.begin(), lifted.end());
+  end_group_lift();
 }
 
 bool PlacementState::search_place(int op, int pid) {

@@ -149,6 +149,38 @@ class PlacementState {
                               const std::vector<ProcessorConfig>& configs,
                               std::vector<unsigned char>& verdicts);
 
+  // --- group lift (docs/DESIGN.md §10) -------------------------------------
+  // The grouping technique (core/placement_common.hpp) asks "which
+  // configuration could host this group on a fresh processor?" once per
+  // growth step, and its group only ever grows by appending.  A lift keeps
+  // the group unassigned under ONE open journal baseline: each step
+  // unassigns only the new member, which replays exactly the unassign
+  // sequence a per-step baseline would, so every verdict is bit-identical
+  // to can_place_on_new_batch on the same group.  While a lift is open the
+  // state is mid-transaction: end it before buy/sell/probes.  The batch
+  // probes run their own lift, so they discard the group and its frontier.
+
+  /// Starts an empty group and opens its journal baseline.
+  void begin_group_lift();
+  /// Appends `op` to the group (a member already present is ignored) and
+  /// unassigns it under the baseline.  After end_group_lift(), the next
+  /// call re-lifts the existing members before appending.
+  void lift_member(int op);
+  /// The group, in lift order.
+  const std::vector<int>& lifted_group() const { return batch_group_; }
+  /// verdicts[i] == can_place_on_new_batch(lifted_group(), configs)[i].
+  /// Needs an open lift.  The reference is reused by the next batch probe.
+  const std::vector<unsigned char>& lifted_verdicts(
+      const ProcessorConfig* configs, std::size_t n);
+  /// Rolls the baseline back (every member returns to its processor); the
+  /// group itself is kept.  No-op when no baseline is open.
+  void end_group_lift();
+  /// The group's outside neighbor with the most demanding connecting edge
+  /// (the largest of parallel edges counts; ties: smaller id), or kNoNode
+  /// when there is none.  `volume` receives the edge volume.  The frontier
+  /// is kept incrementally across calls within one lift.
+  int heaviest_group_neighbor(MBps* volume);
+
   /// Re-prices live processor `pid` to `config` (repair upgrade, or the
   /// downgrade-equivalent consolidation step on a live state).  Fails — and
   /// changes nothing — when the current loads do not fit the new
@@ -268,13 +300,10 @@ class PlacementState {
   bool probe(const int* ops, std::size_t n, int pid, bool commit,
              bool relaxed);
 
-  /// Batch-probe protocol steps 1-2 (docs/DESIGN.md §10): deduplicates the
-  /// group, opens the journal baseline (group unassigned), and extracts the
-  /// pid-independent footprint into fp_.  Returns false — without opening a
-  /// transaction — when the group is empty (an empty move is vacuously
-  /// feasible everywhere); otherwise LEAVES THE TRANSACTION OPEN so the
-  /// caller can gather per-candidate baseline data before rolling back.
-  bool batch_footprint(const int* ops, std::size_t n, bool relaxed);
+  /// Batch-probe protocol step 2 (docs/DESIGN.md §10): with a non-empty
+  /// group lifted, extracts the pid-independent footprint into fp_.  Reads
+  /// the open baseline without changing it.
+  void footprint_from_baseline(bool relaxed);
   /// Full batch probe: footprint, SoA gather, flat verdict loop, bit-exact
   /// rollback, sequential slow path for candidates hosting group members.
   void batch_probe(const int* ops, std::size_t n, const int* pids,
@@ -309,9 +338,13 @@ class PlacementState {
   // --- batch-probe scratch (docs/DESIGN.md §10; reused across batches) -----
   PlacementSoA soa_;
   BatchFootprint fp_;
+  bool lift_open_ = false;             // a group lift holds the baseline open
   std::vector<int> batch_group_;       // deduplicated group, original order
   std::vector<int> batch_group_pos_;   // op -> position+1 in group, 0 = absent
   std::vector<int> batch_transient_;   // sources of later-moving group members
+  std::vector<std::pair<int, MBps>> frontier_;  // (neighbor, best edge) found
+  std::vector<int> frontier_slot_;     // op -> index+1 in frontier_, 0 = absent
+  std::size_t frontier_visited_ = 0;   // members whose neighbors are merged
   std::vector<unsigned char> proc_is_source_;  // pid hosts a group member
   std::vector<int> batch_ext_slot_;    // pid -> index into fp_.ext_*, -1 = none
   std::vector<unsigned char> batch_skip_;

@@ -82,6 +82,96 @@ TEST(Grouping, FailsWhenWholeTreeExceedsEveryProcessor) {
   EXPECT_EQ(st.num_live_processors(), 0);  // failed purchases rolled back
 }
 
+TEST(Grouping, EqualVolumeNeighborsJoinSmallerIdFirst) {
+  // Root n0 with children n1, n2, each reading one 100 MB object at 0.5 Hz
+  // (download 50 MB/s; both edges into n0 carry 100 MB/s).  One processor
+  // model with a 175 MB/s NIC: n1 and n2 sit alone on their own processors,
+  // n0 alone would ship 200 MB/s and cannot fit, while n0 plus either
+  // child needs 50 + 100.  The tie between n1 and n2 goes to the smaller id.
+  ObjectCatalog objects({{0, 100.0, 0.5}});
+  TreeBuilder b(objects);
+  const int root = b.add_operator(kNoNode);
+  const int n1 = b.add_operator(root);
+  const int n2 = b.add_operator(root);
+  b.add_leaf(n1, 0);
+  b.add_leaf(n2, 0);
+  const Fixture f{b.build(1.0),
+                  testhelpers::simple_platform({{0}}, 1),
+                  PriceCatalog::homogeneous(CpuModel{1e6, 0.0},
+                                            NicModel{175.0, 0.0}, 1.0),
+                  1.0};
+  PlacementState st(f.problem());
+  const int p1 = st.buy(f.catalog.cheapest());
+  const int p2 = st.buy(f.catalog.cheapest());
+  ASSERT_TRUE(st.try_place(n1, p1));
+  ASSERT_TRUE(st.try_place(n2, p2));
+  std::string why;
+  const auto pid =
+      place_with_grouping(st, root, GroupConfigPolicy::CheapestFirst, &why);
+  ASSERT_TRUE(pid.has_value()) << why;
+  EXPECT_EQ(st.proc_of(root), *pid);
+  EXPECT_EQ(st.proc_of(n1), *pid);
+  EXPECT_EQ(st.proc_of(n2), p2);
+  EXPECT_FALSE(st.is_live(p1));  // emptied by the move and sold
+
+  // The rule is the id, not the visiting order: with {n2, n0} lifted, n1
+  // (reached through n0) beats n3 (reached first, through n2).
+  ObjectCatalog objects2({{0, 100.0, 0.5}});
+  TreeBuilder b2(objects2);
+  const int r = b2.add_operator(kNoNode);  // 0
+  const int a = b2.add_operator(r);        // 1
+  const int c = b2.add_operator(r);        // 2
+  const int d = b2.add_operator(c);        // 3
+  b2.add_leaf(a, 0);
+  b2.add_leaf(d, 0);
+  const Fixture g{b2.build(1.0), testhelpers::simple_platform({{0}}, 1),
+                  PriceCatalog::paper_default(), 1.0};
+  PlacementState st2(g.problem());
+  st2.begin_group_lift();
+  st2.lift_member(c);
+  MBps volume = 0.0;
+  EXPECT_EQ(st2.heaviest_group_neighbor(&volume), r);  // r (0) vs d (3)
+  st2.lift_member(r);
+  EXPECT_EQ(st2.heaviest_group_neighbor(&volume), a);  // a (1) vs d (3)
+  EXPECT_EQ(volume, 100.0);
+  st2.end_group_lift();
+}
+
+TEST(Grouping, ParallelEdgesCompareTheirLargestVolume) {
+  // n1 feeds n0 over two parallel edges (deltas d1, d2) and reads child n2
+  // (output y).  The frontier of {n1} ranks n0 by max(d1, d2): neither the
+  // first, the last nor the sum of the parallel edges.
+  const auto pick = [](MegaBytes d1, MegaBytes d2, MegaBytes y) {
+    std::vector<OperatorNode> ops(3);
+    for (int i = 0; i < 3; ++i) ops[static_cast<std::size_t>(i)].id = i;
+    ops[0].children = {1, 1};
+    ops[0].work = 1.0;
+    ops[1].out = {OutEdge{0, d1}, OutEdge{0, d2}};
+    ops[1].children = {2};
+    ops[1].work = 1.0;
+    ops[1].output_mb = std::max(d1, d2);
+    ops[2].out = {OutEdge{1, y}};
+    ops[2].leaves = {0};
+    ops[2].work = 1.0;
+    ops[2].output_mb = y;
+    Fixture f{OperatorTree(std::move(ops), {LeafRef{0, 2}}, 0,
+                           ObjectCatalog({{0, 1.0, 0.5}})),
+              testhelpers::simple_platform({{0}}, 1),
+              PriceCatalog::paper_default(), 1.0};
+    EXPECT_FALSE(f.tree.validate().has_value());
+    PlacementState st(f.problem());
+    st.begin_group_lift();
+    st.lift_member(1);
+    MBps volume = 0.0;
+    const int next = st.heaviest_group_neighbor(&volume);
+    st.end_group_lift();
+    return std::make_pair(next, volume);
+  };
+  EXPECT_EQ(pick(5.0, 30.0, 20.0), std::make_pair(0, 30.0));   // not first
+  EXPECT_EQ(pick(30.0, 5.0, 20.0), std::make_pair(0, 30.0));   // not last
+  EXPECT_EQ(pick(5.0, 30.0, 32.0), std::make_pair(2, 32.0));   // not sum
+}
+
 TEST(Grouping, OpsByWorkDescOrdering) {
   const Fixture f = fig1a_fixture(1.0, 10.0);
   const auto order = ops_by_work_desc(f.tree);

@@ -2,11 +2,12 @@
 // §11): after one warmup pass has sized every persistent scratch buffer —
 // the PlacementState batch arenas, the journal vectors, the flat link
 // ledger, the repair scratch — further probes, batch probes (including the
-// hypothetical-purchase form), committed move ping-pongs and repair-style
-// scans must perform ZERO heap allocations.  The test compiles in the
-// global counting operator new (util/alloc_counter.hpp) and fails on any
-// non-zero delta, so a reintroduced per-call temporary anywhere under these
-// paths is caught exactly, not statistically.
+// hypothetical-purchase form), group lift cycles, failed grouping calls,
+// committed move ping-pongs and repair-style scans must perform ZERO heap
+// allocations.  The test compiles in the global counting operator new
+// (util/alloc_counter.hpp) and fails on any non-zero delta, so a
+// reintroduced per-call temporary anywhere under these paths is caught
+// exactly, not statistically.
 #define INSP_DEFINE_COUNTING_ALLOCATOR
 #include "util/alloc_counter.hpp"
 
@@ -16,6 +17,7 @@
 #include <vector>
 
 #include "../test_helpers.hpp"
+#include "core/placement_common.hpp"
 #include "core/placement_state.hpp"
 #include "util/rng.hpp"
 
@@ -108,6 +110,68 @@ TEST(ZeroAllocProbe, SteadyStateNewProcessorBatchProbesDoNotAllocate) {
   const long long delta = alloc_delta_over(probe_round);
   EXPECT_EQ(delta, 0)
       << "steady-state new-processor probes allocated " << delta << " times";
+}
+
+TEST(ZeroAllocProbe, GroupLiftCycleDoesNotAllocate) {
+  // The grouping technique's lift: begin, add members one by one (each
+  // re-judged against every configuration), end.
+  const Fixture f = random_fixture(17, 24, 1.2);
+  PlacementState state = seated_state(f, 4);
+  const auto& configs = f.catalog.by_cost();
+  const int n_ops = f.tree.num_operators();
+
+  long long feasible = 0;
+  auto lift_round = [&] {
+    for (int seed = 0; seed < n_ops; ++seed) {
+      state.begin_group_lift();
+      state.lift_member(seed);
+      for (int k = 0; k < 6; ++k) {
+        for (unsigned char v :
+             state.lifted_verdicts(configs.data(), configs.size())) {
+          feasible += v;
+        }
+        MBps volume = 0.0;
+        const int next = state.heaviest_group_neighbor(&volume);
+        if (next == kNoNode) break;
+        state.lift_member(next);
+      }
+      state.end_group_lift();
+    }
+  };
+
+  lift_round();
+  lift_round();
+  ASSERT_GT(feasible, 0) << "every lifted group was rejected";
+
+  const long long delta = alloc_delta_over(lift_round);
+  EXPECT_EQ(delta, 0) << "group lift cycles allocated " << delta << " times";
+}
+
+TEST(ZeroAllocProbe, FailedGroupingCallDoesNotAllocate) {
+  // alpha 2.5 with 30 MB objects: the whole tree exceeds the fastest CPU,
+  // so every call grows the group to the whole tree, is rejected at each
+  // step, and fails.
+  const Fixture f = testhelpers::fig1a_fixture(2.5, 30.0);
+  PlacementState state(f.problem());
+  const int n_ops = f.tree.num_operators();
+
+  auto failing_calls = [&] {
+    for (int seed = 0; seed < n_ops; ++seed) {
+      for (const GroupConfigPolicy policy :
+           {GroupConfigPolicy::CheapestFirst,
+            GroupConfigPolicy::MostExpensiveOnly}) {
+        ASSERT_FALSE(place_with_grouping(state, seed, policy, nullptr));
+      }
+    }
+  };
+
+  failing_calls();
+  failing_calls();
+  ASSERT_EQ(state.num_live_processors(), 0);
+
+  const long long delta = alloc_delta_over(failing_calls);
+  EXPECT_EQ(delta, 0) << "failed grouping calls allocated " << delta
+                      << " times";
 }
 
 TEST(ZeroAllocProbe, CommittedMovePingPongDoesNotAllocate) {
