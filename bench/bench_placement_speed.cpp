@@ -83,62 +83,6 @@ double measure_copy_baseline(const PlacementState& st, const ProbeSet& set,
   return static_cast<double>(iterations) / elapsed;
 }
 
-/// Candidate-verdicts/sec of the batched SoA probe (docs/DESIGN.md §10):
-/// each round judges one operator against every live processor with a
-/// single journal baseline and one flat kernel sweep.
-double measure_soa_batch(PlacementState& st, const ProbeSet& set,
-                         const std::vector<int>& pids, std::size_t rounds) {
-  std::vector<int> group(1);
-  std::vector<unsigned char> verdicts;
-  std::size_t feasible = 0;
-  const auto t0 = Clock::now();
-  for (std::size_t i = 0; i < rounds; ++i) {
-    group[0] = set.moves[i % set.moves.size()].first;
-    st.can_place_batch(group, pids, verdicts);
-    for (unsigned char v : verdicts) feasible += v;
-  }
-  const double elapsed = seconds_since(t0);
-  if (feasible == rounds + 1) std::printf(" ");  // defeat DCE
-  return static_cast<double>(rounds * pids.size()) / elapsed;
-}
-
-/// The same candidate matrix through the scalar per-processor can_place
-/// loop — one full probe transaction per candidate.
-double measure_scalar_scan(PlacementState& st, const ProbeSet& set,
-                           const std::vector<int>& pids, std::size_t rounds) {
-  std::size_t feasible = 0;
-  const auto t0 = Clock::now();
-  for (std::size_t i = 0; i < rounds; ++i) {
-    const int op = set.moves[i % set.moves.size()].first;
-    for (int pid : pids) feasible += st.can_place({op}, pid) ? 1 : 0;
-  }
-  const double elapsed = seconds_since(t0);
-  if (feasible == rounds + 1) std::printf(" ");
-  return static_cast<double>(rounds * pids.size()) / elapsed;
-}
-
-/// Element-wise batch-vs-scalar agreement over the probe set — the batch
-/// kernel must be a pure speedup, never a semantic change.
-bool verify_batch_matches_scalar(PlacementState& st, const ProbeSet& set,
-                                 const std::vector<int>& pids) {
-  std::vector<int> group(1);
-  std::vector<unsigned char> verdicts;
-  for (const auto& [op, unused] : set.moves) {
-    (void)unused;
-    group[0] = op;
-    st.can_place_batch(group, pids, verdicts);
-    for (std::size_t j = 0; j < pids.size(); ++j) {
-      if ((verdicts[j] != 0) != st.can_place(group, pids[j])) {
-        std::fprintf(stderr,
-                     "batch/scalar verdict mismatch: op %d on P%d\n", op,
-                     pids[j]);
-        return false;
-      }
-    }
-  }
-  return true;
-}
-
 struct AllocateTiming {
   std::string name;
   double mean_ms = 0.0;
@@ -151,10 +95,6 @@ struct SizeResult {
   double probes_per_sec_incremental = 0.0;
   double probes_per_sec_copy = 0.0;
   double speedup = 0.0;
-  double soa_probe_throughput = 0.0;   ///< batched candidate-verdicts/sec
-  double scalar_scan_throughput = 0.0; ///< same matrix, scalar can_place
-  double speedup_vs_scalar = 0.0;
-  bool verdicts_match = false;
   std::vector<AllocateTiming> allocate;
 };
 
@@ -179,10 +119,6 @@ void write_json(const std::string& path, std::uint64_t seed,
                  r.probes_per_sec_incremental, 1)
             .add("probes_per_sec_copy_baseline", r.probes_per_sec_copy, 1)
             .add("probe_speedup", r.speedup, 2)
-            .add("soa_probe_throughput", r.soa_probe_throughput, 1)
-            .add("scalar_scan_throughput", r.scalar_scan_throughput, 1)
-            .add("speedup_vs_scalar", r.speedup_vs_scalar, 2)
-            .add("verdicts_match", r.verdicts_match)
             .add("hardware_concurrency", hardware)
             .add("allocate", allocate));
   }
@@ -261,21 +197,6 @@ int main(int argc, char** argv) {
     r.probes_per_sec_copy = measure_copy_baseline(st, set, copy_iters);
     r.speedup = r.probes_per_sec_incremental / r.probes_per_sec_copy;
 
-    // Batched SoA probe vs the scalar per-candidate scan, on the identical
-    // (operator x live processor) candidate matrix; verify element-wise
-    // verdict agreement before timing anything.
-    const std::vector<int> all_live = st.live_processors();
-    r.verdicts_match = verify_batch_matches_scalar(st, set, all_live);
-    const std::size_t batch_rounds = smoke ? 2'000 : 20'000;
-    const std::size_t scan_rounds = std::max<std::size_t>(
-        smoke ? 200 : 1'000, batch_rounds / all_live.size());
-    measure_soa_batch(st, set, all_live, 200);  // warm-up
-    r.soa_probe_throughput = measure_soa_batch(st, set, all_live,
-                                               batch_rounds);
-    r.scalar_scan_throughput = measure_scalar_scan(st, set, all_live,
-                                                   scan_rounds);
-    r.speedup_vs_scalar = r.soa_probe_throughput / r.scalar_scan_throughput;
-
     for (HeuristicKind k : kinds) {
       AllocateTiming t;
       t.name = heuristic_name(k);
@@ -294,10 +215,6 @@ int main(int argc, char** argv) {
                 "copy baseline %9.0f probes/s   speedup %6.1fx\n",
                 n, r.live_processors, r.probes_per_sec_incremental,
                 r.probes_per_sec_copy, r.speedup);
-    std::printf("        SoA batch %12.0f cand/s   scalar scan %10.0f "
-                "cand/s   speedup %6.1fx   verdicts %s\n",
-                r.soa_probe_throughput, r.scalar_scan_throughput,
-                r.speedup_vs_scalar, r.verdicts_match ? "match" : "MISMATCH");
     for (const AllocateTiming& a : r.allocate) {
       std::printf("        allocate %-22s %8.3f ms/run (%d failures)\n",
                   a.name.c_str(), a.mean_ms, a.failures);
@@ -306,8 +223,5 @@ int main(int argc, char** argv) {
   }
 
   write_json(json_path, flags.seed, results);
-  for (const SizeResult& r : results) {
-    if (!r.verdicts_match) return 1;  // batch kernel diverged from scalar
-  }
   return 0;
 }

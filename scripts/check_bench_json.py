@@ -26,27 +26,31 @@ import json
 import sys
 
 # Per-bench row schemas: when a known bench name is seen, every result row
-# must carry at least these keys.  The envelope check alone would accept an
-# artifact whose rows silently lost their payload (a formatting bug in the
-# emitter); the key lists keep the benches' downstream consumers honest.
-# Benches not listed here are envelope-checked only.
-REQUIRED_ROW_KEYS = {
+# must carry exactly these keys.  A missing key means a row silently lost
+# its payload (a formatting bug in the emitter); an undeclared key is a
+# stale or unreviewed metric that would otherwise linger unnoticed.  The key
+# lists keep the benches' downstream consumers honest.  Benches not listed
+# here are envelope-checked only.
+ROW_KEYS = {
     "placement_speed": {
         "num_operators", "live_processors", "probes_per_sec_incremental",
         "probes_per_sec_copy_baseline", "probe_speedup",
-        "soa_probe_throughput", "scalar_scan_throughput",
-        "speedup_vs_scalar", "verdicts_match", "hardware_concurrency",
+        "hardware_concurrency", "allocate",
     },
     "dynamic": {
-        "num_operators", "events", "median_repair_ms", "median_scratch_ms",
-        "latency_speedup", "repair_signature", "gap_events_comparable",
-        "gap_events_measured", "repair_gap_mean", "repair_gap_max",
-        "scratch_gap_mean", "scratch_gap_max",
+        "num_operators", "initial_apps", "events", "trace_arrivals",
+        "median_repair_ms", "median_scratch_ms", "latency_speedup",
+        "repair_final_cost", "scratch_final_cost", "cost_ratio",
+        "repair_failures", "scratch_failures", "repair_fallbacks",
+        "ops_moved", "procs_bought", "procs_retired", "reconfigures",
+        "events_simulated", "events_sustained", "repair_signature",
+        "gap_events_comparable", "gap_events_measured", "repair_gap_mean",
+        "repair_gap_max", "scratch_gap_mean", "scratch_gap_max",
     },
     "sim": {
         "num_operators", "num_processors", "crossing_edges", "periods",
-        "periods_simulated", "dense_ms_per_run", "sparse_ms_per_run",
-        "speedup", "sustained", "identical_results",
+        "periods_simulated", "reps", "rho_star", "dense_ms_per_run",
+        "sparse_ms_per_run", "speedup", "sustained", "identical_results",
     },
     "ilp": {
         "n", "alpha", "instances", "solved", "reference_solved",
@@ -56,12 +60,15 @@ REQUIRED_ROW_KEYS = {
     "service": {
         "num_operators", "shards", "worker_threads", "events",
         "events_per_sec", "p50_ms", "p99_ms", "speedup_vs_1worker",
-        "hardware_concurrency", "signatures_match",
+        "hardware_concurrency", "signatures_match", "events_applied",
+        "events_coalesced", "failures",
     },
     "chaos": {
-        "chaos_class", "faults", "truth_down", "detected", "detection_rate",
-        "mean_detection_beats", "median_repair_ms", "mean_recovery_beats",
-        "events_simulated", "events_sustained", "signature",
+        "chaos_class", "num_operators", "initial_apps", "faults",
+        "truth_down", "detected", "repaired", "recovered", "detection_rate",
+        "mean_detection_beats", "max_detection_beats", "median_repair_ms",
+        "mean_recovery_beats", "max_recovery_beats", "events_inferred",
+        "events_simulated", "events_sustained", "final_cost", "signature",
     },
 }
 
@@ -110,7 +117,7 @@ def check_file(path):
     def is_scalar(value):
         return isinstance(value, (int, float, str, bool))
 
-    required = REQUIRED_ROW_KEYS.get(bench, set())
+    declared = ROW_KEYS.get(bench)
     for i, row in enumerate(results):
         if not isinstance(row, dict) or not row:
             return fail(path, f"results[{i}] must be a non-empty object")
@@ -123,14 +130,22 @@ def check_file(path):
                     f"{section!r} (expected one of "
                     f"{', '.join(sorted(ABLATIONS_SECTION_KEYS))})",
                 )
-            required = ABLATIONS_SECTION_KEYS[section]
-        missing = required - row.keys()
-        if missing:
-            return fail(
-                path,
-                f"results[{i}] is missing required '{bench}' keys: "
-                f"{', '.join(sorted(missing))}",
-            )
+            declared = ABLATIONS_SECTION_KEYS[section]
+        if declared is not None:
+            missing = declared - row.keys()
+            if missing:
+                return fail(
+                    path,
+                    f"results[{i}] is missing required '{bench}' keys: "
+                    f"{', '.join(sorted(missing))}",
+                )
+            undeclared = row.keys() - declared
+            if undeclared:
+                return fail(
+                    path,
+                    f"results[{i}] has keys the '{bench}' schema does not "
+                    f"declare: {', '.join(sorted(undeclared))}",
+                )
         for key, value in row.items():
             if is_scalar(value):
                 continue

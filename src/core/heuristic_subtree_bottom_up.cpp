@@ -148,21 +148,12 @@ PlacementOutcome place_subtree_bottom_up(PlacementState& state, Rng& /*rng*/) {
     });
 
     int target = kNoNode;
-    // One batched probe over the children's processors replaces the
-    // journal-per-child scan; the committing try_place re-validates the
-    // winner (falling back to the scan if a boundary case ever disagrees).
-    std::vector<int> kid_procs;
-    kid_procs.reserve(kids.size());
-    for (int k : kids) kid_procs.push_back(state.proc_of(k));
-    const int first = state.first_feasible_target({op}, kid_procs);
-    if (first != kNoNode && state.try_place({op}, first)) {
-      target = first;
-    } else if (first != kNoNode) {
-      for (int pk : kid_procs) {
-        if (state.try_place({op}, pk)) {
-          target = pk;
-          break;
-        }
+    // First fit over the children's processors, heaviest edge first.
+    for (int k : kids) {
+      const int pk = state.proc_of(k);
+      if (state.try_place(op, pk)) {
+        target = pk;
+        break;
       }
     }
     if (target == kNoNode) {

@@ -67,23 +67,21 @@ bool merge_pass(PlacementState& state, LocalSearchStats& stats) {
 bool relocation_pass(PlacementState& state, LocalSearchStats& stats) {
   bool improved = false;
   const OperatorTree& tree = *state.problem().tree;
-  // Hoisted candidate buffer: refilled per operator (the live set shifts as
-  // relocations retire processors) but reuses its capacity across the pass.
-  std::vector<int> targets;
   for (int op = 0; op < tree.num_operators(); ++op) {
     const int home = state.proc_of(op);
     if (home == kNoNode || state.ops_on(home).size() < 2) continue;
     const Dollars before = projected_downgraded_cost(state);
-    // One batched probe picks the first feasible target (the scalar scan
-    // paid a journal transaction per candidate); only that one target is
-    // then tried for an improvement, as before.
-    targets.clear();
+    // First fit: the operator moves to the first other processor that can
+    // host it, and only that move is tried for an improvement.  The scan
+    // stops at the commit, so walking the live list it invalidates is safe.
+    int target = kNoNode;
     for (int t : state.live_processors()) {
-      if (t != home) targets.push_back(t);
+      if (t != home && state.try_place(op, t)) {
+        target = t;
+        break;
+      }
     }
-    const int target = state.first_feasible_target(op, targets);
     if (target == kNoNode) continue;
-    if (!state.try_place(op, target)) continue;
     const Dollars after = projected_downgraded_cost(state);
     if (after < before - 1e-9) {
       ++stats.relocations;

@@ -416,21 +416,20 @@ bool PlacementState::can_place_relaxed(int op, int pid) {
   return probe(&op, 1, pid, /*commit=*/false, /*relaxed=*/true);
 }
 
-// --- batched probes (docs/DESIGN.md §10) ------------------------------------
+// --- group lift and fresh-processor verdicts (docs/DESIGN.md §10) ----------
 
 void PlacementState::begin_group_lift() {
   assert(!lift_open_);
-  for (int op : batch_group_) {
-    batch_group_pos_[static_cast<std::size_t>(op)] = 0;
+  for (int op : lift_group_) {
+    lift_pos_[static_cast<std::size_t>(op)] = 0;
   }
   for (const auto& f : frontier_) {
     frontier_slot_[static_cast<std::size_t>(f.first)] = 0;
   }
-  batch_group_.clear();
-  batch_transient_.clear();
+  lift_group_.clear();
   frontier_.clear();
   frontier_visited_ = 0;
-  batch_group_pos_.resize(op_to_proc_.size(), 0);
+  lift_pos_.resize(op_to_proc_.size(), 0);
   frontier_slot_.resize(op_to_proc_.size(), 0);
   begin_txn(TxnMode::kFull);
   lift_open_ = true;
@@ -441,34 +440,17 @@ void PlacementState::lift_member(int op) {
     // Re-lift after end_group_lift(): the same unassign sequence again.
     begin_txn(TxnMode::kFull);
     lift_open_ = true;
-    for (int m : batch_group_) {
+    for (int m : lift_group_) {
       if (proc_of(m) != kNoNode) unassign_op(m);
     }
   }
   // Deduplicate preserving order: the sequential probe skips an operator's
   // second occurrence (it is already on the target by then).
-  int& pos = batch_group_pos_[static_cast<std::size_t>(op)];
+  int& pos = lift_pos_[static_cast<std::size_t>(op)];
   if (pos != 0) return;
-  const int src = proc_of(op);
-  if (src != kNoNode) {
-    // Transient source: when a member has a group neighbor that moves
-    // BEFORE it, the sequential probe realizes their edge toward its source
-    // for a moment — touching link (candidate, src) with net zero volume but
-    // still validating it at its baseline value.  Every current member moves
-    // before `op`, so the flag is final now; footprint_from_baseline folds
-    // it in as a zero-volume ext entry so the strict verdict checks the
-    // same links.
-    bool has_earlier = false;
-    visit_neighbors(op, [&](int a, MBps /*volume*/) {
-      if (batch_group_pos_[static_cast<std::size_t>(a)] != 0) {
-        has_earlier = true;
-      }
-    });
-    if (has_earlier) batch_transient_.push_back(src);
-  }
-  batch_group_.push_back(op);
-  pos = static_cast<int>(batch_group_.size());
-  if (src != kNoNode) unassign_op(op);
+  lift_group_.push_back(op);
+  pos = static_cast<int>(lift_group_.size());
+  if (proc_of(op) != kNoNode) unassign_op(op);
 }
 
 void PlacementState::end_group_lift() {
@@ -478,9 +460,9 @@ void PlacementState::end_group_lift() {
 }
 
 int PlacementState::heaviest_group_neighbor(MBps* volume) {
-  for (; frontier_visited_ < batch_group_.size(); ++frontier_visited_) {
-    visit_neighbors(batch_group_[frontier_visited_], [&](int nb, MBps vol) {
-      if (batch_group_pos_[static_cast<std::size_t>(nb)] != 0) return;
+  for (; frontier_visited_ < lift_group_.size(); ++frontier_visited_) {
+    visit_neighbors(lift_group_[frontier_visited_], [&](int nb, MBps vol) {
+      if (lift_pos_[static_cast<std::size_t>(nb)] != 0) return;
       int& slot = frontier_slot_[static_cast<std::size_t>(nb)];
       if (slot == 0) {
         frontier_.emplace_back(nb, vol);
@@ -495,7 +477,7 @@ int PlacementState::heaviest_group_neighbor(MBps* volume) {
   MBps best_vol = 0.0;
   for (const auto& [nb, vol] : frontier_) {
     // Entries that joined the group since they were found are skipped.
-    if (batch_group_pos_[static_cast<std::size_t>(nb)] != 0) continue;
+    if (lift_pos_[static_cast<std::size_t>(nb)] != 0) continue;
     if (best == kNoNode || vol > best_vol || (vol == best_vol && nb < best)) {
       best = nb;
       best_vol = vol;
@@ -508,60 +490,59 @@ int PlacementState::heaviest_group_neighbor(MBps* volume) {
 const std::vector<unsigned char>& PlacementState::lifted_verdicts(
     const ProcessorConfig* configs, std::size_t n) {
   assert(lift_open_);
-  batch_verdicts_.assign(n, 1);
+  lift_verdicts_.assign(n, 1);
   // An empty move is vacuously feasible everywhere.
-  if (n == 0 || batch_group_.empty()) return batch_verdicts_;
-  footprint_from_baseline(/*relaxed=*/false);
+  if (n == 0 || lift_group_.empty()) return lift_verdicts_;
+  footprint_from_baseline();
+  // A fresh processor is empty: every group type is downloaded and every
+  // external edge crosses, so each configuration is two comparisons.
+  const MegaOps cpu = problem_.rho * fp_.sum_w;
+  const MBps nic = fp_.download + fp_.ext_total;
   const PriceCatalog& cat = *problem_.catalog;
-  batch_speed_caps_.resize(n);
-  batch_bw_caps_.resize(n);
   for (std::size_t i = 0; i < n; ++i) {
-    batch_speed_caps_[i] = cat.speed(configs[i]);
-    batch_bw_caps_[i] = cat.bandwidth(configs[i]);
+    lift_verdicts_[i] = (fp_.others_ok &&
+                         fits_within(cpu, cat.speed(configs[i])) &&
+                         fits_within(nic, cat.bandwidth(configs[i])))
+                            ? 1
+                            : 0;
   }
-  soa_probe_configs(fp_, batch_speed_caps_.data(), batch_bw_caps_.data(), n,
-                    batch_verdicts_.data());
-  return batch_verdicts_;
+  return lift_verdicts_;
 }
 
-void PlacementState::footprint_from_baseline(bool relaxed) {
-  assert(lift_open_ && !batch_group_.empty());
+void PlacementState::footprint_from_baseline() {
+  assert(lift_open_ && !lift_group_.empty());
   const OperatorTree& tree = *problem_.tree;
   const PriceCatalog& cat = *problem_.catalog;
 
-  fp_.rho = problem_.rho;
-  fp_.relaxed = relaxed;
-  fp_.link_cap = pp_links_.capacity();
   fp_.sum_w = 0.0;
-  fp_.has_shared_child = false;
-  fp_.gtypes.clear();
-  fp_.gtype_rate.clear();
+  fp_.types.clear();
+  fp_.download = 0.0;
   fp_.ext_pid.clear();
   fp_.ext_vol.clear();
   // All -1 between calls: only the slots used below are reset at the end.
-  batch_ext_slot_.resize(procs_.size(), -1);
+  ext_slot_.resize(procs_.size(), -1);
   const auto slot_add = [&](int q, MBps volume) {
-    int slot = batch_ext_slot_[static_cast<std::size_t>(q)];
+    int slot = ext_slot_[static_cast<std::size_t>(q)];
     if (slot < 0) {
       slot = static_cast<int>(fp_.ext_pid.size());
-      batch_ext_slot_[static_cast<std::size_t>(q)] = slot;
+      ext_slot_[static_cast<std::size_t>(q)] = slot;
       fp_.ext_pid.push_back(q);
       fp_.ext_vol.push_back(0.0);
     }
     fp_.ext_vol[static_cast<std::size_t>(slot)] += volume;
   };
   // Replays the sequential probe's member-by-member charging (docs/DESIGN.md
-  // §10, §13) against a hypothetical candidate hosting the whole group, so
-  // the accumulation order — and thus every FP sum — matches the sequential
-  // path exactly on trees.
-  for (std::size_t ib = 0; ib < batch_group_.size(); ++ib) {
-    const int m = batch_group_[ib];
+  // §10, §13) against a fresh processor hosting the whole group, so the
+  // accumulation order — and thus every FP sum — matches the sequential
+  // path exactly.
+  for (std::size_t ib = 0; ib < lift_group_.size(); ++ib) {
+    const int m = lift_group_[ib];
     fp_.sum_w += tree.op(m).work;
     tree.visit_object_types(m, [&](int t) {
-      if (std::find(fp_.gtypes.begin(), fp_.gtypes.end(), t) ==
-          fp_.gtypes.end()) {
-        fp_.gtypes.push_back(t);
-        fp_.gtype_rate.push_back(tree.catalog().type(t).rate());
+      if (std::find(fp_.types.begin(), fp_.types.end(), t) ==
+          fp_.types.end()) {
+        fp_.types.push_back(t);
+        fp_.download += tree.catalog().type(t).rate();
       }
     });
     // Producer side: m ships once per distinct external destination
@@ -570,15 +551,13 @@ void PlacementState::footprint_from_baseline(bool relaxed) {
     // assign (their proc is kNoNode under the open baseline anyway).
     const auto& out = tree.op(m).out;
     for (std::size_t a = 0; a < out.size(); ++a) {
-      if (batch_group_pos_[static_cast<std::size_t>(out[a].dst)] != 0) {
-        continue;
-      }
+      if (lift_pos_[static_cast<std::size_t>(out[a].dst)] != 0) continue;
       const int q = proc_of(out[a].dst);
       if (q == kNoNode) continue;
       bool first = true;
       for (std::size_t b = 0; b < a; ++b) {
         const int dst = out[b].dst;
-        if (batch_group_pos_[static_cast<std::size_t>(dst)] == 0 &&
+        if (lift_pos_[static_cast<std::size_t>(dst)] == 0 &&
             proc_of(dst) == q) {
           first = false;
           break;
@@ -588,7 +567,7 @@ void PlacementState::footprint_from_baseline(bool relaxed) {
       MegaBytes mx = out[a].delta;
       for (std::size_t b = a + 1; b < out.size(); ++b) {
         const int dst = out[b].dst;
-        if (batch_group_pos_[static_cast<std::size_t>(dst)] == 0 &&
+        if (lift_pos_[static_cast<std::size_t>(dst)] == 0 &&
             proc_of(dst) == q) {
           mx = std::max(mx, out[b].delta);
         }
@@ -598,11 +577,13 @@ void PlacementState::footprint_from_baseline(bool relaxed) {
     // Consumer side: each distinct external assigned child ships to the
     // candidate; its charge steps from the max over *earlier* group
     // consumers to the max including m — summed over members this telescopes
-    // to the deduped max, in the sequential accumulation order.
+    // to the deduped max, in the sequential accumulation order.  A shared
+    // child's consumers outside the group never sit on the fresh candidate,
+    // so they add nothing toward it.
     const auto& ch = tree.op(m).children;
     for (std::size_t a = 0; a < ch.size(); ++a) {
       const int c = ch[a];
-      if (batch_group_pos_[static_cast<std::size_t>(c)] != 0) continue;
+      if (lift_pos_[static_cast<std::size_t>(c)] != 0) continue;
       bool first = true;
       for (std::size_t b = 0; b < a; ++b) {
         if (ch[b] == c) {
@@ -615,15 +596,8 @@ void PlacementState::footprint_from_baseline(bool relaxed) {
       if (q == kNoNode) continue;
       MegaBytes before = 0.0, after = 0.0;
       for (const OutEdge& e : tree.op(c).out) {
-        const int pos = batch_group_pos_[static_cast<std::size_t>(e.dst)];
-        if (pos == 0) {
-          // A shared external child with another *assigned* consumer may
-          // already ship to one of the candidates, which this
-          // candidate-independent footprint cannot see — those lanes are
-          // resolved through the sequential path (batch_probe).
-          if (proc_of(e.dst) != kNoNode) fp_.has_shared_child = true;
-          continue;
-        }
+        const int pos = lift_pos_[static_cast<std::size_t>(e.dst)];
+        if (pos == 0) continue;
         if (pos - 1 <= static_cast<int>(ib)) {
           after = std::max(after, e.delta);
           if (pos - 1 < static_cast<int>(ib)) before = std::max(before, e.delta);
@@ -632,215 +606,34 @@ void PlacementState::footprint_from_baseline(bool relaxed) {
       slot_add(q, problem_.rho * after - problem_.rho * before);
     }
   }
-  double ext_total = 0.0;
-  for (double v : fp_.ext_vol) ext_total += v;
-  fp_.ext_total = ext_total;
-  for (int s : batch_transient_) {
-    if (batch_ext_slot_[static_cast<std::size_t>(s)] < 0) {
-      batch_ext_slot_[static_cast<std::size_t>(s)] =
-          static_cast<int>(fp_.ext_pid.size());
-      fp_.ext_pid.push_back(s);
-      fp_.ext_vol.push_back(0.0);
-    }
-  }
+  fp_.ext_total = 0.0;
+  for (MBps v : fp_.ext_vol) fp_.ext_total += v;
 
-  // Fold the candidate-independent processor checks: drained sources (at
-  // their baseline values) and external neighbor processors (baseline plus
-  // the edge volume the placement realizes toward them).  The candidate
-  // itself is judged by its own richer check in the kernel; the count/pid
-  // pair lets it forgive exactly its own folded entry.
-  fp_.others_failed = 0;
-  fp_.others_failed_pid = -1;
-  const auto eval_other = [&](int o, double w0, double d0, double c0) {
+  // Every processor the placement touches besides the candidate must fit:
+  // drained sources at their baseline values, external neighbor processors
+  // with the edge volume the placement realizes toward them.  The fresh
+  // candidate is never one of them, and its link to each neighbor processor
+  // starts at zero, so it carries exactly that edge volume.
+  const auto fits = [&](int o) {
     const ProcState& p = proc(o);
-    if (!p.live) return;
-    const int slot = batch_ext_slot_[static_cast<std::size_t>(o)];
+    if (!p.live) return true;
+    const int slot = ext_slot_[static_cast<std::size_t>(o)];
     const double ev = slot >= 0 ? fp_.ext_vol[static_cast<std::size_t>(slot)]
                                 : 0.0;
-    const double cpu_now = problem_.rho * p.work;
-    const double nic_now = p.download + p.comm + ev;
-    const bool ok =
-        (fits_within(cpu_now, cat.speed(p.cfg)) ||
-         (relaxed && fits_within(cpu_now, problem_.rho * w0))) &&
-        (fits_within(nic_now, cat.bandwidth(p.cfg)) ||
-         (relaxed && fits_within(nic_now, d0 + c0)));
-    if (!ok) {
-      ++fp_.others_failed;
-      fp_.others_failed_pid = o;
-    }
+    return fits_within(problem_.rho * p.work, cat.speed(p.cfg)) &&
+           fits_within(p.download + p.comm + ev, cat.bandwidth(p.cfg));
   };
-  // Baseline-touched processors carry their pre-transaction snapshot in
-  // snaps_ (parallel to touched_procs_ in kFull mode); processors only the
-  // candidate assignment touches are at their pre-transaction values now.
-  for (std::size_t i = 0; i < touched_procs_.size(); ++i) {
-    const ProcSnapshot& s = snaps_[i];
-    eval_other(touched_procs_[i], s.work, s.download, s.comm);
-  }
-  for (int q : fp_.ext_pid) {
-    const ProcState& p = proc(q);
-    if (p.touch_epoch == txn_epoch_) continue;  // folded above
-    eval_other(q, p.work, p.download, p.comm);
-  }
-
-  // Strict: every link the baseline touched must fit at its baseline value
-  // (re-added candidate-side volume is re-checked per candidate; volumes are
-  // non-negative and fits_within is monotone, so the conjunction is exact).
-  // Relaxed: vacuous — the baseline only removes volume.
-  fp_.base_links_ok = relaxed ? true : pp_links_.touched_within();
-  for (int q : fp_.ext_pid) batch_ext_slot_[static_cast<std::size_t>(q)] = -1;
-}
-
-void PlacementState::batch_probe(const int* ops, std::size_t n,
-                                 const int* pids, std::size_t num,
-                                 bool relaxed, unsigned char* verdicts) {
-  if (num == 0) return;
-  if (n == 0) {
-    // Empty move: the sequential probe touches nothing and reports true.
-    std::fill(verdicts, verdicts + num, 1);
-    return;
-  }
-  proc_is_source_.assign(procs_.size(), 0);
-  for (std::size_t i = 0; i < n; ++i) {
-    const int src = proc_of(ops[i]);
-    if (src != kNoNode) proc_is_source_[static_cast<std::size_t>(src)] = 1;
-  }
-  begin_group_lift();
-  for (std::size_t i = 0; i < n; ++i) lift_member(ops[i]);
-  footprint_from_baseline(relaxed);
-  bool any_skip = false;
-  batch_skip_.assign(num, 0);
-  for (std::size_t i = 0; i < num; ++i) {
-    assert(is_live(pids[i]));
-    // Candidates hosting group members keep partial-move semantics, and a
-    // shared external child may already ship to *any* existing candidate —
-    // both are invisible to the candidate-independent footprint, so those
-    // lanes fall back to the sequential probe.  has_shared_child is always
-    // false on trees, keeping the fast path byte-identical there.
-    if (proc_is_source_[static_cast<std::size_t>(pids[i])] ||
-        fp_.has_shared_child) {
-      batch_skip_[i] = 1;
-      any_skip = true;
-    }
-  }
-
-  // Gather the flat SoA mirror while the baseline is open.
-  const PriceCatalog& cat = *problem_.catalog;
-  soa_.resize(procs_.size());
-  for (int pid : live_ids_) {
-    const ProcState& p = proc(pid);
-    const auto u = static_cast<std::size_t>(pid);
-    soa_.speed_cap[u] = cat.speed(p.cfg);
-    soa_.bw_cap[u] = cat.bandwidth(p.cfg);
-    soa_.work[u] = p.work;
-    soa_.nic[u] = p.download + p.comm;
-    soa_.work0[u] = p.work;
-    soa_.nic0[u] = p.download + p.comm;
-    soa_.vol_to[u] = 0.0;
-  }
-  for (std::size_t i = 0; i < snap_count_; ++i) {
-    const ProcSnapshot& s = snaps_[i];
-    const auto u = static_cast<std::size_t>(s.pid);
-    soa_.work0[u] = s.work;
-    soa_.nic0[u] = s.download + s.comm;
-  }
+  bool ok = true;
+  for (int o : touched_procs_) ok = ok && fits(o);
   for (std::size_t j = 0; j < fp_.ext_pid.size(); ++j) {
-    soa_.vol_to[static_cast<std::size_t>(fp_.ext_pid[j])] = fp_.ext_vol[j];
+    const int q = fp_.ext_pid[j];
+    ok = ok && fits_within(fp_.ext_vol[j], pp_links_.capacity());
+    if (proc(q).touch_epoch == txn_epoch_) continue;  // judged above
+    ok = ok && fits(q);
   }
-
-  // Per-candidate download delta: rates of group types the candidate does
-  // not already hold, summed in the group's first-need order (matching the
-  // sequential assignment's accumulation order).
-  batch_dl_add_.assign(num, 0.0);
-  for (std::size_t i = 0; i < num; ++i) {
-    if (batch_skip_[i]) continue;
-    const auto& tc = proc(pids[i]).type_count;
-    double add = 0.0;
-    for (std::size_t g = 0; g < fp_.gtypes.size(); ++g) {
-      const int t = fp_.gtypes[g];
-      const auto it = std::lower_bound(
-          tc.begin(), tc.end(), t,
-          [](const std::pair<int, int>& e, int type) {
-            return e.first < type;
-          });
-      if (it == tc.end() || it->first != t) add += fp_.gtype_rate[g];
-    }
-    batch_dl_add_[i] = add;
-  }
-
-  // Baseline (and, relaxed, pre-transaction) usage of every candidate<->ext
-  // link, column-major [ext][candidate] (stride = num) so the probe loop
-  // reads each neighbor's column contiguously.
-  const std::size_t ext = fp_.ext_pid.size();
-  batch_link_base_.assign(num * ext, 0.0);
-  batch_link_pre_.assign(relaxed ? num * ext : 0, 0.0);
-  for (std::size_t i = 0; i < num; ++i) {
-    if (batch_skip_[i]) continue;
-    for (std::size_t j = 0; j < ext; ++j) {
-      if (fp_.ext_pid[j] == pids[i]) continue;
-      batch_link_base_[j * num + i] = pp_links_.used(pids[i], fp_.ext_pid[j]);
-      if (relaxed) {
-        batch_link_pre_[j * num + i] =
-            pp_links_.pre_txn_value(pids[i], fp_.ext_pid[j]);
-      }
-    }
-  }
-
-  end_group_lift();
-
-  soa_probe_candidates(soa_, fp_, pids, num, batch_dl_add_.data(),
-                       batch_link_base_.data(),
-                       relaxed ? batch_link_pre_.data() : nullptr,
-                       /*stride=*/num, batch_skip_.data(), verdicts);
-
-  // Candidates hosting group members keep the sequential probe's
-  // partial-move semantics (members already on the target do not move at
-  // all); resolve them through the sequential path.
-  if (any_skip) {
-    for (std::size_t i = 0; i < num; ++i) {
-      if (!batch_skip_[i]) continue;
-      verdicts[i] =
-          probe(ops, n, pids[i], /*commit=*/false, relaxed) ? 1 : 0;
-    }
-  }
-}
-
-void PlacementState::can_place_batch(const std::vector<int>& ops,
-                                     const std::vector<int>& pids,
-                                     std::vector<unsigned char>& verdicts) {
-  verdicts.resize(pids.size());
-  batch_probe(ops.data(), ops.size(), pids.data(), pids.size(),
-              /*relaxed=*/false, verdicts.data());
-}
-
-void PlacementState::can_place_batch_relaxed(
-    const std::vector<int>& ops, const std::vector<int>& pids,
-    std::vector<unsigned char>& verdicts) {
-  verdicts.resize(pids.size());
-  batch_probe(ops.data(), ops.size(), pids.data(), pids.size(),
-              /*relaxed=*/true, verdicts.data());
-}
-
-int PlacementState::first_feasible_target(const std::vector<int>& ops,
-                                          const std::vector<int>& pids,
-                                          bool relaxed) {
-  batch_verdicts_.resize(pids.size());
-  batch_probe(ops.data(), ops.size(), pids.data(), pids.size(), relaxed,
-              batch_verdicts_.data());
-  for (std::size_t i = 0; i < pids.size(); ++i) {
-    if (batch_verdicts_[i]) return pids[i];
-  }
-  return kNoNode;
-}
-
-int PlacementState::first_feasible_target(int op, const std::vector<int>& pids,
-                                          bool relaxed) {
-  batch_verdicts_.resize(pids.size());
-  batch_probe(&op, 1, pids.data(), pids.size(), relaxed,
-              batch_verdicts_.data());
-  for (std::size_t i = 0; i < pids.size(); ++i) {
-    if (batch_verdicts_[i]) return pids[i];
-  }
-  return kNoNode;
+  // Every link the baseline touched must fit at its baseline value.
+  fp_.others_ok = ok && pp_links_.touched_within();
+  for (int q : fp_.ext_pid) ext_slot_[static_cast<std::size_t>(q)] = -1;
 }
 
 void PlacementState::can_place_on_new_batch(

@@ -24,13 +24,13 @@
 // feasible (every committed mutation preserves that invariant).
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "core/allocation.hpp"
-#include "core/placement_soa.hpp"
 #include "core/problem.hpp"
 #include "net/bandwidth_ledger.hpp"
 
@@ -110,36 +110,7 @@ class PlacementState {
   bool can_place_relaxed(const std::vector<int>& ops, int pid);
   bool can_place_relaxed(int op, int pid);
 
-  // --- batched feasibility probes (docs/DESIGN.md §10) ---------------------
-  // The heuristics' inner loop asks one question many times: "which of these
-  // candidate processors can host this operator group?"  The sequential
-  // probes answer it by paying a full journal transaction per candidate.
-  // The batch probes pay it ONCE: the group is unassigned under a single
-  // journal baseline, the per-processor state is gathered into a flat SoA
-  // mirror, every candidate is judged by a branch-light loop over parallel
-  // arrays (core/placement_soa.hpp), and the baseline is rolled back
-  // bit-exactly.  Verdicts are element-wise identical to the sequential
-  // probes (candidates that host group members are resolved through the
-  // sequential path, whose partial-move semantics a shared baseline cannot
-  // reproduce).  Like can_place, batch probes mutate scratch state in
-  // between — not thread-safe on a shared state.
-
-  /// verdicts[i] == can_place(ops, pids[i]); resized to pids.size().
-  void can_place_batch(const std::vector<int>& ops,
-                       const std::vector<int>& pids,
-                       std::vector<unsigned char>& verdicts);
-  /// verdicts[i] == can_place_relaxed(ops, pids[i]).
-  void can_place_batch_relaxed(const std::vector<int>& ops,
-                               const std::vector<int>& pids,
-                               std::vector<unsigned char>& verdicts);
-  /// First pids[i] whose (strict or relaxed) verdict is true, else kNoNode —
-  /// the batched form of the heuristics' first-fit scans.
-  int first_feasible_target(const std::vector<int>& ops,
-                            const std::vector<int>& pids,
-                            bool relaxed = false);
-  /// Single-operator form (allocation-free; verdict scratch is a member).
-  int first_feasible_target(int op, const std::vector<int>& pids,
-                            bool relaxed = false);
+  // --- fresh-processor verdicts (docs/DESIGN.md §10) ----------------------
   /// Hypothetical purchases, strict verdict: verdicts[i] is true iff buying
   /// a processor of configs[i] and try_place(ops, <new pid>) would succeed —
   /// evaluated without consuming a processor id (a failed buy+sell still
@@ -157,8 +128,9 @@ class PlacementState {
   // unassigns only the new member, which replays exactly the unassign
   // sequence a per-step baseline would, so every verdict is bit-identical
   // to can_place_on_new_batch on the same group.  While a lift is open the
-  // state is mid-transaction: end it before buy/sell/probes.  The batch
-  // probes run their own lift, so they discard the group and its frontier.
+  // state is mid-transaction: end it before buy/sell/probes.
+  // can_place_on_new_batch runs its own lift, so it discards the group and
+  // its frontier.
 
   /// Starts an empty group and opens its journal baseline.
   void begin_group_lift();
@@ -167,9 +139,9 @@ class PlacementState {
   /// call re-lifts the existing members before appending.
   void lift_member(int op);
   /// The group, in lift order.
-  const std::vector<int>& lifted_group() const { return batch_group_; }
+  const std::vector<int>& lifted_group() const { return lift_group_; }
   /// verdicts[i] == can_place_on_new_batch(lifted_group(), configs)[i].
-  /// Needs an open lift.  The reference is reused by the next batch probe.
+  /// Needs an open lift.  The reference is reused by the next call.
   const std::vector<unsigned char>& lifted_verdicts(
       const ProcessorConfig* configs, std::size_t n);
   /// Rolls the baseline back (every member returns to its processor); the
@@ -300,14 +272,10 @@ class PlacementState {
   bool probe(const int* ops, std::size_t n, int pid, bool commit,
              bool relaxed);
 
-  /// Batch-probe protocol step 2 (docs/DESIGN.md §10): with a non-empty
-  /// group lifted, extracts the pid-independent footprint into fp_.  Reads
-  /// the open baseline without changing it.
-  void footprint_from_baseline(bool relaxed);
-  /// Full batch probe: footprint, SoA gather, flat verdict loop, bit-exact
-  /// rollback, sequential slow path for candidates hosting group members.
-  void batch_probe(const int* ops, std::size_t n, const int* pids,
-                   std::size_t num, bool relaxed, unsigned char* verdicts);
+  /// With a non-empty group lifted, extracts what a fresh processor must
+  /// offer to host it into fp_.  Reads the open baseline without changing
+  /// it.
+  void footprint_from_baseline();
 
   void assign_op(int op, int pid);
   void unassign_op(int op);
@@ -335,25 +303,28 @@ class PlacementState {
   std::vector<int> scratch_ops_;
   std::vector<int> sell_candidates_;
 
-  // --- batch-probe scratch (docs/DESIGN.md §10; reused across batches) -----
-  PlacementSoA soa_;
-  BatchFootprint fp_;
+  // --- group-lift scratch (docs/DESIGN.md §10; reused across lifts) -------
+  /// The lifted group's demand toward a fresh processor, computed against
+  /// the open baseline.  Every candidate is empty, so nothing here depends
+  /// on which configuration is judged.
+  struct GroupFootprint {
+    MegaOps sum_w = 0.0;           // sum of w over the group
+    std::vector<int> types;        // distinct object types, first-need order
+    MBps download = 0.0;           // sum of their rates, in that order
+    std::vector<int> ext_pid;      // processors hosting outside neighbors
+    std::vector<MBps> ext_vol;     // edge volume realized toward each
+    MBps ext_total = 0.0;
+    bool others_ok = true;         // every other processor and link fits
+  };
+  GroupFootprint fp_;
   bool lift_open_ = false;             // a group lift holds the baseline open
-  std::vector<int> batch_group_;       // deduplicated group, original order
-  std::vector<int> batch_group_pos_;   // op -> position+1 in group, 0 = absent
-  std::vector<int> batch_transient_;   // sources of later-moving group members
+  std::vector<int> lift_group_;        // deduplicated group, original order
+  std::vector<int> lift_pos_;          // op -> position+1 in group, 0 = absent
   std::vector<std::pair<int, MBps>> frontier_;  // (neighbor, best edge) found
   std::vector<int> frontier_slot_;     // op -> index+1 in frontier_, 0 = absent
   std::size_t frontier_visited_ = 0;   // members whose neighbors are merged
-  std::vector<unsigned char> proc_is_source_;  // pid hosts a group member
-  std::vector<int> batch_ext_slot_;    // pid -> index into fp_.ext_*, -1 = none
-  std::vector<unsigned char> batch_skip_;
-  std::vector<unsigned char> batch_verdicts_;
-  std::vector<double> batch_dl_add_;
-  std::vector<double> batch_link_base_;
-  std::vector<double> batch_link_pre_;
-  std::vector<double> batch_speed_caps_;
-  std::vector<double> batch_bw_caps_;
+  std::vector<int> ext_slot_;          // pid -> index into fp_.ext_*, -1 = none
+  std::vector<unsigned char> lift_verdicts_;
 };
 
 } // namespace insp

@@ -171,7 +171,6 @@ ServerSelectionResult select_servers_three_loop(const Problem& problem,
       return a < b;
     });
 
-    std::vector<MBps> link_headroom;
     for (int t : types) {
       const MBps r = rate_of(t);
       for (const auto& d : pending) {
@@ -180,17 +179,12 @@ ServerSelectionResult select_servers_three_loop(const Problem& problem,
         // min(card headroom, link headroom) (paper: "servers are considered
         // in decreasing order of the minimum between the remaining bandwidth
         // capacity of the servers network card, and the bandwidth of the
-        // communication link").  The link headrooms for every hosting server
-        // come from one sweep of the ledger instead of a map lookup each.
-        const auto& hosts = plat.servers_with(t);
-        link_headroom.resize(hosts.size());
-        links.batch_headroom(d.proc, hosts.data(), hosts.size(),
-                             link_headroom.data());
+        // communication link").
         int best = -1;
         MBps best_headroom = -1.0;
-        for (std::size_t i = 0; i < hosts.size(); ++i) {
-          const int s = hosts[i];
-          const MBps h = std::min(cards.headroom(s), link_headroom[i]);
+        for (int s : plat.servers_with(t)) {
+          const MBps h =
+              std::min(cards.headroom(s), links.headroom(d.proc, s));
           if (h > best_headroom) {
             best_headroom = h;
             best = s;

@@ -145,14 +145,10 @@ void DynamicAllocator::refold_and_replay(
 
 namespace {
 
-/// Batched relaxed first-fit: one journal baseline judges every candidate,
-/// then the committing probe re-validates the winner (falling back to the
-/// scalar scan if the two ever disagree on a boundary-epsilon case).
+/// Relaxed first-fit: commit on the first candidate the relaxed probe
+/// accepts.
 bool first_fit_relaxed(PlacementState& state, int op,
                        const std::vector<int>& pids) {
-  const int target = state.first_feasible_target(op, pids, /*relaxed=*/true);
-  if (target == kNoNode) return false;
-  if (state.try_place_relaxed(op, target)) return true;
   for (int pid : pids) {
     if (state.try_place_relaxed(op, pid)) return true;
   }

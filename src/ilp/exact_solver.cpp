@@ -237,7 +237,7 @@ class ReferenceSearch {
 };
 
 /// The incremental branch-and-bound (docs/DESIGN.md §14): one live
-/// PlacementState, SoA batch probes for child expansion, composite root
+/// PlacementState, touched-set verdicts for child expansion, composite root
 /// bound plus a CPU+NIC partial bound with a remaining-work processor
 /// charge, and registry-heuristic incumbent seeding.
 class IncrementalSearch {
@@ -256,7 +256,6 @@ class IncrementalSearch {
       suffix_work_[i] =
           suffix_work_[i + 1] + problem.tree->op(order_[i]).work;
     }
-    frames_.resize(n);
   }
 
   ExactResult run() {
@@ -301,12 +300,6 @@ class IncrementalSearch {
   }
 
  private:
-  struct Frame {
-    std::vector<int> group;                // the one operator being placed
-    std::vector<int> pids;                 // candidate targets
-    std::vector<unsigned char> verdicts;   // batch feasibility answers
-  };
-
   void seed_incumbent() {
     for (const PlacementStrategy& s : placement_registry()) {
       // Fixed per-strategy seed: the solver's result must not depend on any
@@ -369,22 +362,12 @@ class IncrementalSearch {
     const int op = order_[depth];
     const int max_target = std::min(opened + 1,
                                     problem_.tree->num_operators());
-    // One SoA batch probe screens every child: infeasible targets never pay
-    // a journal transaction.  Verdicts equal search_place's touched-set
-    // answer because every state on the search path is feasible.
-    Frame& f = frames_[depth];
-    f.group.assign(1, op);
-    f.pids.resize(static_cast<std::size_t>(max_target));
     for (int u = 0; u < max_target; ++u) {
-      f.pids[static_cast<std::size_t>(u)] = u;
-    }
-    state_.can_place_batch(f.group, f.pids, f.verdicts);
-    for (int u = 0; u < max_target; ++u) {
-      if (!f.verdicts[static_cast<std::size_t>(u)]) continue;
-      const bool ok = state_.search_place(op, u);
-      assert(ok);
-      (void)ok;
-      dfs(depth + 1, std::max(opened, u + 1));
+      // search_place's touched-set verdict equals a full feasible() scan
+      // because every state on the search path is feasible.
+      if (state_.search_place(op, u)) {
+        dfs(depth + 1, std::max(opened, u + 1));
+      }
       state_.search_unassign(op);
       if (!budget_ok_) return;
     }
@@ -395,7 +378,6 @@ class IncrementalSearch {
   PlacementState state_;
   std::vector<int> order_;
   std::vector<MegaOps> suffix_work_;
-  std::vector<Frame> frames_;
   Dollars root_lb_ = 0.0;
   Dollars best_cost_ = kInf;
   std::optional<Allocation> best_alloc_;

@@ -6,11 +6,10 @@
 //  - operators are assigned in non-increasing w order; a new processor may
 //    only be opened as the next unused index (symmetry breaking);
 //  - every processor is pre-provisioned with the catalog's most expensive
-//    configuration; descent uses `search_place`/`search_unassign` (journal
-//    rollback, touched-set verdicts), and child targets are screened in one
-//    SoA batch probe (`can_place_batch`) per node — realized loads grow
-//    monotonically along a search path, so a failed touched verdict prunes
-//    the whole subtree;
+//    configuration; each child target is tried with `search_place` and
+//    undone with `search_unassign` (touched-set verdicts) — realized loads
+//    grow monotonically along a search path, so a failed touched verdict
+//    prunes the whole subtree;
 //  - the incumbent is seeded from every registry heuristic before the
 //    search starts, and nodes prune against the composite lower bound
 //    (ilp/bounds.hpp: fractional packing + forced communication) plus a

@@ -139,33 +139,6 @@ bool LinkLedger::touched_within() const {
   return true;
 }
 
-MBps LinkLedger::pre_txn_value(int a, int b) const {
-  assert(in_txn_);
-  const auto k = key(a, b);
-  for (const auto& e : journal_) {
-    if (e.key == k) return e.existed ? e.old_value : 0.0;
-  }
-  return used(a, b);
-}
-
-void LinkLedger::batch_headroom(int fixed, const int* others, std::size_t n,
-                                MBps* out) const {
-  for (std::size_t i = 0; i < n; ++i) out[i] = capacity_;
-  for (const auto& [k, v] : used_) {
-    int other;
-    if (k.first == fixed) {
-      other = k.second;
-    } else if (k.second == fixed) {
-      other = k.first;
-    } else {
-      continue;
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (others[i] == other) out[i] = capacity_ - v;
-    }
-  }
-}
-
 bool LinkLedger::touched_no_worse() const {
   // The journal may hold several entries per key; the *first* one records
   // the pre-transaction value, which is the baseline the relaxed check

@@ -96,14 +96,6 @@ class LinkLedger {
   std::size_t touched_links() const { return journal_.size(); }
   /// all_within() restricted to the links the open transaction touched.
   bool touched_within() const;
-  /// Value the link carried when the open transaction began: the first
-  /// journal entry for the key records it; an untouched link is still at it.
-  MBps pre_txn_value(int a, int b) const;
-  /// Batched headroom against one fixed endpoint: out[i] = capacity -
-  /// used(fixed, others[i]), gathered in a single pass over the ledger map
-  /// instead of one map lookup per candidate (the server-selection scan).
-  void batch_headroom(int fixed, const int* others, std::size_t n,
-                      MBps* out) const;
   /// Relaxed variant for the repair engine (docs/DESIGN.md §8): every
   /// touched link must either fit its capacity or carry no more than it did
   /// before the transaction began — a link that was already over capacity

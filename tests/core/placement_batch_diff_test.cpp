@@ -1,23 +1,22 @@
-// Differential oracle for the batched feasibility probes (docs/DESIGN.md
-// §10): along a seeded random walk over the full mutation surface — the same
+// Differential oracle for the fresh-processor verdicts (docs/DESIGN.md §10):
+// along a seeded random walk over the full mutation surface — the same
 // action mix as the placement fuzzer, including the demand refreshes that
 // drive the state infeasible — every probe step checks that
 //
-//   * can_place_batch / can_place_batch_relaxed verdicts are element-wise
-//     identical to the sequential can_place / can_place_relaxed probes over
-//     every live candidate (including candidates hosting group members, the
-//     sequential-slow-path case, and relaxed probes on infeasible states);
 //   * can_place_on_new_batch matches the literal buy + can_place + sell
-//     emulation for every catalog configuration;
-//   * the batch's single journal baseline rolls back bit-exactly: every
+//     emulation for every catalog configuration, on feasible and degraded
+//     states alike;
+//   * the group lift's single journal baseline rolls back bit-exactly: every
 //     observable value (assignment, loads, link traffic, cost) compares
-//     EQUAL — not near — before and after a batch call, in particular after
-//     batches whose verdicts all failed.
+//     EQUAL — not near — before and after the call, in particular after
+//     calls whose verdicts all failed.
 //
-// The sequential probes are the specification; the batch path shares the
-// journal machinery but none of the verdict arithmetic, so any divergence
-// in the SoA gather, the footprint fold, or the flat kernels fails here
-// within one step of the state shape that exposed it.
+// The sequential probe is the specification; the fresh-processor verdict
+// shares the journal machinery but none of the verdict arithmetic, so any
+// divergence in the footprint fold fails here within one step of the state
+// shape that exposed it.  A hand-built case pins the transient-source shape:
+// a group spread over two processors whose connecting link is already over
+// capacity.
 #include "core/placement_state.hpp"
 
 #include <gtest/gtest.h>
@@ -116,7 +115,16 @@ std::vector<int> random_group(Rng& rng, PlacementState& state, int n_ops) {
   return ops;
 }
 
-TEST(PlacementBatchDiff, BatchVerdictsMatchSequentialProbesEveryStep) {
+/// Literal emulation of one fresh-processor verdict: buy, probe, sell.
+bool literal_new_verdict(PlacementState& state, const std::vector<int>& ops,
+                         ProcessorConfig config) {
+  const int pid = state.buy(config);
+  const bool ok = state.can_place(ops, pid);
+  state.sell(pid);
+  return ok;
+}
+
+TEST(PlacementBatchDiff, NewProcessorVerdictsMatchLiteralBuyEveryStep) {
   constexpr int kSteps = 1500;
   DiffWorld world = make_world(0xBA7C4u, /*n_ops=*/24);
   PlacementState state(world.problem());
@@ -124,12 +132,12 @@ TEST(PlacementBatchDiff, BatchVerdictsMatchSequentialProbesEveryStep) {
   const int n_ops = world.tree.num_operators();
   const auto& configs = world.prices.by_cost();
 
-  // Coverage counters: the walk must hit both verdicts in both modes, the
-  // sequential slow path, and batches that fail on every candidate.
-  long verdicts_checked = 0, true_verdicts = 0, false_verdicts = 0;
-  long skip_candidates = 0, all_false_batches = 0, config_checks = 0;
+  // Coverage counters: the walk must hit both verdicts and calls that fail
+  // on every configuration.
+  long true_verdicts = 0, false_verdicts = 0;
+  long all_false_calls = 0, config_checks = 0;
 
-  std::vector<unsigned char> batch, batch_relaxed, batch_new;
+  std::vector<unsigned char> batch_new;
   for (int step = 0; step < kSteps; ++step) {
     const std::vector<int> live = state.live_processors();
     const int action = static_cast<int>(rng.index(100));
@@ -155,63 +163,21 @@ TEST(PlacementBatchDiff, BatchVerdictsMatchSequentialProbesEveryStep) {
       const std::vector<int> ops = random_group(rng, state, n_ops);
       const Fingerprint before = fingerprint(state, n_ops);
 
-      state.can_place_batch(ops, live, batch);
+      state.can_place_on_new_batch(ops, configs, batch_new);
       ASSERT_EQ(fingerprint(state, n_ops), before)
-          << "step " << step << ": strict batch did not roll back bit-exactly";
-      state.can_place_batch_relaxed(ops, live, batch_relaxed);
-      ASSERT_EQ(fingerprint(state, n_ops), before)
-          << "step " << step << ": relaxed batch did not roll back bit-exactly";
-
-      ASSERT_EQ(batch.size(), live.size());
-      ASSERT_EQ(batch_relaxed.size(), live.size());
+          << "step " << step << ": group lift did not roll back bit-exactly";
+      ASSERT_EQ(batch_new.size(), configs.size());
       bool any_true = false;
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        const bool seq_strict = state.can_place(ops, live[i]);
-        const bool seq_relaxed = state.can_place_relaxed(ops, live[i]);
-        ASSERT_EQ(batch[i] != 0, seq_strict)
-            << "step " << step << ": strict verdict differs for pid "
-            << live[i] << " (group size " << ops.size() << ")";
-        ASSERT_EQ(batch_relaxed[i] != 0, seq_relaxed)
-            << "step " << step << ": relaxed verdict differs for pid "
-            << live[i] << " (group size " << ops.size() << ")";
-        verdicts_checked += 2;
-        (seq_strict ? true_verdicts : false_verdicts) += 1;
-        (seq_relaxed ? true_verdicts : false_verdicts) += 1;
-        any_true |= seq_strict || seq_relaxed;
-        for (int op : ops) {
-          if (state.proc_of(op) == live[i]) {
-            ++skip_candidates;
-            break;
-          }
-        }
+      for (std::size_t c = 0; c < configs.size(); ++c) {
+        const bool seq = literal_new_verdict(state, ops, configs[c]);
+        ASSERT_EQ(batch_new[c] != 0, seq)
+            << "step " << step << ": new-processor verdict differs for "
+            << "config " << c << " (group size " << ops.size() << ")";
+        ++config_checks;
+        (seq ? true_verdicts : false_verdicts) += 1;
+        any_true |= seq;
       }
-      if (!any_true) ++all_false_batches;
-
-      // first_feasible_target agrees with the first true sequential verdict.
-      const int first = state.first_feasible_target(ops, live);
-      int expected = kNoNode;
-      for (std::size_t i = 0; i < live.size(); ++i) {
-        if (batch[i]) {
-          expected = live[i];
-          break;
-        }
-      }
-      ASSERT_EQ(first, expected) << "step " << step;
-
-      // Hypothetical-purchase batch vs the literal buy + probe + sell.
-      if (step % 5 == 0) {
-        state.can_place_on_new_batch(ops, configs, batch_new);
-        ASSERT_EQ(batch_new.size(), configs.size());
-        for (std::size_t c = 0; c < configs.size(); ++c) {
-          const int pid = state.buy(configs[c]);
-          const bool seq = state.can_place(ops, pid);
-          state.sell(pid);
-          ASSERT_EQ(batch_new[c] != 0, seq)
-              << "step " << step << ": new-processor verdict differs for "
-              << "config " << c;
-          ++config_checks;
-        }
-      }
+      if (!any_true) ++all_false_calls;
     } else if (action < 85) {  // dynamic demand refresh (may overload)
       const int op = static_cast<int>(rng.index(static_cast<std::size_t>(n_ops)));
       const MegaOps old_w = world.tree.op(op).work;
@@ -236,14 +202,109 @@ TEST(PlacementBatchDiff, BatchVerdictsMatchSequentialProbesEveryStep) {
     if (::testing::Test::HasFatalFailure()) return;
   }
 
-  // The walk exercised every interesting shape, both verdict polarities,
-  // the slow path, and whole-batch rejections.
-  EXPECT_GT(verdicts_checked, 2000);
+  // The walk exercised both verdict polarities and whole-call rejections.
+  EXPECT_GT(config_checks, 2000);
   EXPECT_GT(true_verdicts, 200);
   EXPECT_GT(false_verdicts, 200);
-  EXPECT_GT(skip_candidates, 100);
-  EXPECT_GT(all_false_batches, 5);
-  EXPECT_GT(config_checks, 500);
+  EXPECT_GT(all_false_calls, 5);
+}
+
+TEST(PlacementBatchDiff, TransientSourceOnOverloadedLinkMatchesLiteralBuy) {
+  // Two adjacent operators on two different processors: lifting the group
+  // moves the first member before the second, so the sequential probe
+  // realizes their edge toward the second member's host for a moment.  The
+  // link between the two hosts is then pushed over capacity by a demand
+  // refresh, leaving a degraded state.  The fresh-processor verdict must
+  // still equal the literal buy + probe + sell for every configuration.
+  DiffWorld world = make_world(0x7A51u, /*n_ops=*/12);
+  const int n_ops = world.tree.num_operators();
+  int child = kNoNode, parent = kNoNode;
+  for (int op = 0; op < n_ops && child == kNoNode; ++op) {
+    if (!world.tree.op(op).out.empty()) {
+      child = op;
+      parent = world.tree.op(op).out.front().dst;
+    }
+  }
+  ASSERT_NE(child, kNoNode);
+
+  PlacementState state(world.problem());
+  const auto& configs = world.prices.by_cost();
+  const int a = state.buy(world.prices.most_expensive());
+  const int b = state.buy(world.prices.most_expensive());
+  ASSERT_TRUE(state.try_place_relaxed(child, a));
+  ASSERT_TRUE(state.try_place_relaxed(parent, b));
+  ASSERT_GT(state.pair_traffic(a, b), 0.0);
+
+  // Scale the child's output until its edge alone overflows the link.
+  const MegaOps old_w = world.tree.op(child).work;
+  const MegaBytes old_d = world.tree.op(child).output_mb;
+  const MBps link_cap = world.platform.link_proc_proc();
+  world.tree.set_demand(child, old_w,
+                        old_d * (2.0 * link_cap / state.pair_traffic(a, b)));
+  state.refresh_op_demand(child, old_w, old_d);
+  ASSERT_FALSE(fits_within(state.pair_traffic(a, b), link_cap));
+  ASSERT_FALSE(state.overloaded_links().empty());
+
+  // The move drains the overloaded link, so it must not veto every
+  // configuration.
+  std::vector<unsigned char> verdicts;
+  for (const std::vector<int>& group :
+       {std::vector<int>{child, parent}, std::vector<int>{parent, child}}) {
+    const Fingerprint before = fingerprint(state, n_ops);
+    state.can_place_on_new_batch(group, configs, verdicts);
+    ASSERT_EQ(fingerprint(state, n_ops), before);
+    ASSERT_EQ(verdicts.size(), configs.size());
+    for (std::size_t c = 0; c < configs.size(); ++c) {
+      EXPECT_EQ(verdicts[c] != 0,
+                literal_new_verdict(state, group, configs[c]))
+          << "group {" << group[0] << ", " << group[1] << "}, config " << c;
+    }
+    EXPECT_NE(std::find(verdicts.begin(), verdicts.end(), 1), verdicts.end());
+  }
+}
+
+TEST(PlacementBatchDiff, LinkStillOverloadedAfterLiftVetoesEveryConfig) {
+  // Two children of one parent share a processor; the parent sits on
+  // another.  The first child's edge alone overloads their link, so lifting
+  // the second child drains the link only partly: the literal probe
+  // re-validates the still-overloaded link and rejects every configuration.
+  // The fresh-processor verdict must judge the links the lift touched too.
+  DiffWorld world = make_world(0x7A51u, /*n_ops=*/12);
+  int parent = kNoNode;
+  for (int op = 0; op < world.tree.num_operators(); ++op) {
+    if (world.tree.op(op).children.size() >= 2) {
+      parent = op;
+      break;
+    }
+  }
+  ASSERT_NE(parent, kNoNode);
+  const int c1 = world.tree.op(parent).children[0];
+  const int c2 = world.tree.op(parent).children[1];
+
+  PlacementState state(world.problem());
+  const int a = state.buy(world.prices.most_expensive());
+  const int b = state.buy(world.prices.most_expensive());
+  ASSERT_TRUE(state.try_place_relaxed(std::vector<int>{c1, c2}, a));
+  ASSERT_TRUE(state.try_place_relaxed(parent, b));
+
+  const MegaOps old_w = world.tree.op(c1).work;
+  const MegaBytes old_d = world.tree.op(c1).output_mb;
+  const MBps link_cap = world.platform.link_proc_proc();
+  world.tree.set_demand(c1, old_w, 1.2 * link_cap / world.problem().rho);
+  state.refresh_op_demand(c1, old_w, old_d);
+  ASSERT_FALSE(state.overloaded_links().empty());
+  ASSERT_TRUE(state.overloaded_processors().empty())
+      << "only the link may be overloaded";
+
+  const auto& configs = world.prices.by_cost();
+  std::vector<unsigned char> verdicts;
+  state.can_place_on_new_batch({c2}, configs, verdicts);
+  ASSERT_EQ(verdicts.size(), configs.size());
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    EXPECT_EQ(verdicts[c] != 0, literal_new_verdict(state, {c2}, configs[c]))
+        << "config " << c;
+    EXPECT_EQ(verdicts[c], 0) << "config " << c;
+  }
 }
 
 } // namespace

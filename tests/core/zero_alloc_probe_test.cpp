@@ -1,9 +1,9 @@
 // Zero-allocation contract for the steady-state hot paths (docs/DESIGN.md
 // §11): after one warmup pass has sized every persistent scratch buffer —
-// the PlacementState batch arenas, the journal vectors, the flat link
-// ledger, the repair scratch — further probes, batch probes (including the
-// hypothetical-purchase form), group lift cycles, failed grouping calls,
-// committed move ping-pongs and repair-style scans must perform ZERO heap
+// the PlacementState group-lift arenas, the journal vectors, the flat link
+// ledger, the repair scratch — further probes, hypothetical-purchase
+// probes, group lift cycles, failed grouping calls, committed move
+// ping-pongs and repair-style first-fit scans must perform ZERO heap
 // allocations.  The test compiles in the global counting operator new
 // (util/alloc_counter.hpp) and fails on any non-zero delta, so a
 // reintroduced per-call temporary anywhere under these paths is caught
@@ -52,29 +52,26 @@ long long alloc_delta_over(Fn&& body) {
   return alloc_counter::allocations() - before;
 }
 
-TEST(ZeroAllocProbe, SteadyStateBatchAndScalarProbesDoNotAllocate) {
+TEST(ZeroAllocProbe, SteadyStateProbesDoNotAllocate) {
   const Fixture f = random_fixture(7, 24, 1.2);
   PlacementState state = seated_state(f, 4);
   const std::vector<int> live = state.live_processors();
   const int n_ops = f.tree.num_operators();
 
-  std::vector<unsigned char> verdicts;
   std::vector<int> group = {0, 1, 2};
   auto probe_round = [&] {
     for (int op = 0; op < n_ops; ++op) {
       group[0] = op;
-      state.can_place_batch(group, live, verdicts);
-      state.can_place_batch_relaxed(group, live, verdicts);
       for (int pid : live) {
         (void)state.can_place(op, pid);
         (void)state.can_place_relaxed(op, pid);
+        (void)state.can_place(group, pid);
+        (void)state.can_place_relaxed(group, pid);
       }
-      (void)state.first_feasible_target(op, live);
-      (void)state.first_feasible_target(op, live, /*relaxed=*/true);
     }
   };
 
-  // Warmup sizes every arena, journal and verdict buffer.
+  // Warmup sizes every journal and snapshot buffer.
   probe_round();
   probe_round();
 
@@ -85,7 +82,7 @@ TEST(ZeroAllocProbe, SteadyStateBatchAndScalarProbesDoNotAllocate) {
 
 TEST(ZeroAllocProbe, SteadyStateNewProcessorBatchProbesDoNotAllocate) {
   // can_place_on_new_batch: the grouping technique's "which configuration
-  // could host this group on a fresh processor?" scan (soa_probe_configs).
+  // could host this group on a fresh processor?" scan.
   const Fixture f = random_fixture(9, 24, 1.2);
   PlacementState state = seated_state(f, 4);
   const auto& configs = f.catalog.by_cost();
@@ -220,6 +217,14 @@ TEST(ZeroAllocProbe, RepairStyleScanDoesNotAllocate) {
   std::vector<int> over_procs;
   std::vector<std::pair<int, int>> over_links;
   std::vector<int> cands;
+  // Repair's first-fit: the relaxed probe over the candidates, stopping at
+  // the first that accepts.
+  const auto first_fit = [&](int op) {
+    for (int q : cands) {
+      if (state.can_place_relaxed(op, q)) return q;
+    }
+    return kNoNode;
+  };
   auto repair_scan = [&] {
     state.overloaded_processors(over_procs);
     state.overloaded_links(over_links);
@@ -235,14 +240,14 @@ TEST(ZeroAllocProbe, RepairStyleScanDoesNotAllocate) {
         for (int q : live) {
           if (q != pid) cands.push_back(q);
         }
-        (void)state.first_feasible_target(op, cands, /*relaxed=*/true);
+        (void)first_fit(op);
       }
     }
     // The scan is only interesting if the instance is actually overloaded.
     for (int op = 0; op < n_ops; ++op) {
       cands.clear();
       for (int q : live) cands.push_back(q);
-      (void)state.first_feasible_target(op, cands, /*relaxed=*/true);
+      (void)first_fit(op);
     }
   };
 
