@@ -22,6 +22,7 @@
 #include "multi/multi_app.hpp"
 #include "multi/subexpression.hpp"
 #include "multi/subexpression_fold.hpp"
+#include "oracles/ablation_variants.hpp"
 #include "platform/server_distribution.hpp"
 #include "report/optimality_gap.hpp"
 #include "sim/event_sim.hpp"
@@ -276,7 +277,7 @@ int main(int argc, char** argv) {
         const Problem prob = inst.problem();
         run_variant(prob, strategy_for(HeuristicKind::SubtreeBottomUp).place,
                     flags.seed + rep, true, &with_coalesce);
-        run_variant(prob, strategy_for(HeuristicKind::SbuNoCoalesce).place,
+        run_variant(prob, place_subtree_bottom_up_no_coalesce,
                     flags.seed + rep, true, &without_coalesce);
       }
       std::printf("SBU coalescing (N=%d, alpha=%.1f):\n", n, alpha);
@@ -298,8 +299,8 @@ int main(int argc, char** argv) {
       const Problem prob = inst.problem();
       run_variant(prob, strategy_for(HeuristicKind::Random).place,
                   flags.seed + rep, false, &iterated);
-      run_variant(prob, strategy_for(HeuristicKind::RandomPairGrouping).place,
-                  flags.seed + rep, false, &pair_only);
+      run_variant(prob, place_random_pair_grouping, flags.seed + rep, false,
+                  &pair_only);
     }
     print_stats("iterated transitive grouping (default)", iterated);
     print_stats("pair-only grouping (paper-literal)", pair_only);

@@ -67,8 +67,8 @@ inline std::vector<HeuristicKind> parse_heuristic_list(
       std::fprintf(stderr, "unknown heuristic '%s'; registered:\n",
                    token.c_str());
       for (const PlacementStrategy& reg : placement_registry()) {
-        std::fprintf(stderr, "  %-22s (--heuristics=%s)%s\n", reg.name,
-                     reg.cli_name, reg.paper_core ? "" : "  [ablation]");
+        std::fprintf(stderr, "  %-22s (--heuristics=%s)\n", reg.name,
+                     reg.cli_name);
       }
       std::exit(2);
     }

@@ -22,6 +22,7 @@
 
 #include "bench_common.hpp"
 #include "ilp/exact_solver.hpp"
+#include "oracles/exact_reference.hpp"
 
 using namespace insp;
 using namespace insp::benchx;

@@ -24,6 +24,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "oracles/event_sim_dense.hpp"
 #include "sim/event_sim.hpp"
 #include "sim/flow_analyzer.hpp"
 #include "tree/tree_generator.hpp"

@@ -29,12 +29,8 @@ AllocationOutcome allocate(const Problem& problem, HeuristicKind kind,
   out.allocation = state.to_allocation();
 
   // ---- Phase 2: server selection. ------------------------------------------
-  ServerSelectionKind ss = options.server_selection;
-  if (ss == ServerSelectionKind::PaperDefault) {
-    ss = strat.default_selection;
-  }
   const ServerSelectionResult sel =
-      ss == ServerSelectionKind::RandomChoice
+      strat.default_selection == ServerSelectionKind::RandomChoice
           ? select_servers_random(problem, out.allocation, rng)
           : select_servers_three_loop(problem, out.allocation);
   if (!sel.success) {
@@ -52,12 +48,10 @@ AllocationOutcome allocate(const Problem& problem, HeuristicKind kind,
   }
 
   // ---- Final validation. ----------------------------------------------------
-  if (options.validate) {
-    const CheckReport report = check_allocation(problem, out.allocation);
-    if (!report.ok()) {
-      out.failure_reason = "validation: " + report.summary();
-      return out;
-    }
+  const CheckReport report = check_allocation(problem, out.allocation);
+  if (!report.ok()) {
+    out.failure_reason = "validation: " + report.summary();
+    return out;
   }
 
   out.success = true;

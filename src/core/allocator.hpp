@@ -18,9 +18,7 @@
 namespace insp {
 
 struct AllocatorOptions {
-  ServerSelectionKind server_selection = ServerSelectionKind::PaperDefault;
   bool downgrade = true;  ///< paper skips it only in the homogeneous study
-  bool validate = true;   ///< run the full constraint checker on the result
   /// Optional local-search refinement between placement and server
   /// selection (extension beyond the paper; see core/local_search.hpp).
   bool local_search = false;
@@ -35,8 +33,10 @@ struct AllocationOutcome {
   Dollars cost_before_downgrade = 0.0;
 };
 
-/// Runs the full pipeline for one heuristic.  `rng` drives the Random
-/// heuristic (and random server selection); deterministic given its state.
+/// Runs the full pipeline for one heuristic, with the server selection the
+/// registry pairs it with, and always validates the result.  `rng` drives
+/// the Random heuristic (and random server selection); deterministic given
+/// its state.
 AllocationOutcome allocate(const Problem& problem, HeuristicKind kind,
                            Rng& rng, const AllocatorOptions& options = {});
 

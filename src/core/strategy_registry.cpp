@@ -3,32 +3,23 @@
 #include <cstdio>
 #include <cstdlib>
 
-#include "core/ablation_variants.hpp"
-
 namespace insp {
 
 const std::vector<PlacementStrategy>& placement_registry() {
   static const std::vector<PlacementStrategy> kRegistry = {
       {HeuristicKind::Random, "Random", "random", 'R', place_random,
-       ServerSelectionKind::RandomChoice, true},
+       ServerSelectionKind::RandomChoice},
       {HeuristicKind::CompGreedy, "Comp-Greedy", "comp-greedy", 'W',
-       place_comp_greedy, ServerSelectionKind::ThreeLoop, true},
+       place_comp_greedy, ServerSelectionKind::ThreeLoop},
       {HeuristicKind::CommGreedy, "Comm-Greedy", "comm-greedy", 'C',
-       place_comm_greedy, ServerSelectionKind::ThreeLoop, true},
+       place_comm_greedy, ServerSelectionKind::ThreeLoop},
       {HeuristicKind::SubtreeBottomUp, "Subtree-bottom-up", "sbu", 'S',
-       place_subtree_bottom_up, ServerSelectionKind::ThreeLoop, true},
+       place_subtree_bottom_up, ServerSelectionKind::ThreeLoop},
       {HeuristicKind::ObjectGrouping, "Object-Grouping", "object-grouping",
-       'G', place_object_grouping, ServerSelectionKind::ThreeLoop, true},
+       'G', place_object_grouping, ServerSelectionKind::ThreeLoop},
       {HeuristicKind::ObjectAvailability, "Object-Availability",
        "object-availability", 'A', place_object_availability,
-       ServerSelectionKind::ThreeLoop, true},
-      // Ablation variants keep their base heuristic's selection pairing.
-      {HeuristicKind::SbuNoCoalesce, "SBU-No-Coalesce", "sbu-no-coalesce",
-       's', place_subtree_bottom_up_no_coalesce,
-       ServerSelectionKind::ThreeLoop, false},
-      {HeuristicKind::RandomPairGrouping, "Random-Pair-Grouping",
-       "random-pair", 'r', place_random_pair_grouping,
-       ServerSelectionKind::RandomChoice, false},
+       ServerSelectionKind::ThreeLoop},
   };
   return kRegistry;
 }
@@ -57,7 +48,7 @@ const std::vector<HeuristicKind>& all_heuristics() {
   static const std::vector<HeuristicKind> kAll = [] {
     std::vector<HeuristicKind> kinds;
     for (const PlacementStrategy& s : placement_registry()) {
-      if (s.paper_core) kinds.push_back(s.kind);
+      kinds.push_back(s.kind);
     }
     return kinds;
   }();

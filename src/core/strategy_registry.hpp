@@ -1,10 +1,10 @@
 // Unified catalog of operator-placement strategies: the paper's six
-// heuristics (§4.1) plus the documented ablation variants (docs/DESIGN.md
-// §3), each bundling the enum kind, canonical display name, CLI spelling,
-// placement function, and the server-selection policy the paper pairs it
-// with.  The allocator pipeline, the experiment harness, and the bench CLI
-// flag parsing all consume this one table instead of maintaining parallel
-// switch statements, name lists, and function maps.
+// heuristics (§4.1), each bundling the enum kind, canonical display name,
+// CLI spelling, placement function, and the server-selection policy the
+// paper pairs it with.  The allocator pipeline, the experiment harness, and
+// the bench CLI flag parsing all consume this one table instead of
+// maintaining parallel switch statements, name lists, and function maps.
+// Ablation variants are not strategies; they live in tests/oracles/.
 #pragma once
 
 #include <optional>
@@ -15,24 +15,19 @@
 
 namespace insp {
 
+/// The paper's six, in presentation order.
 enum class HeuristicKind {
-  // The paper's six, in presentation order.
   Random,
   CompGreedy,
   CommGreedy,
   SubtreeBottomUp,
   ObjectGrouping,
   ObjectAvailability,
-  // Ablation variants of documented design decisions (docs/DESIGN.md §3).
-  SbuNoCoalesce,
-  RandomPairGrouping,
 };
 
+/// Server-selection phase (paper §4.2): Random placement is paired with
+/// random selection, every other heuristic with the three-loop selection.
 enum class ServerSelectionKind {
-  /// Resolve to the strategy's registered pairing (paper: Random placement
-  /// -> random selection; all other heuristics -> the sophisticated
-  /// three-loop selection).
-  PaperDefault,
   RandomChoice,
   ThreeLoop,
 };
@@ -43,13 +38,11 @@ struct PlacementStrategy {
   const char* cli_name;  ///< lower-case spelling for --heuristics flags
   char marker;           ///< single-char series marker for ASCII charts
   PlacementFn place;
-  /// The server-selection phase this strategy is paired with when the
-  /// caller asks for PaperDefault.  Never PaperDefault itself.
+  /// The server-selection phase allocate() pairs this strategy with.
   ServerSelectionKind default_selection;
-  bool paper_core;  ///< one of the paper's six (vs an ablation variant)
 };
 
-/// Every registered strategy: the paper's six first, then the ablations.
+/// Every registered strategy: the paper's six, in HeuristicKind order.
 const std::vector<PlacementStrategy>& placement_registry();
 
 /// Registry row for a kind (every enumerator is registered).
@@ -58,7 +51,7 @@ const PlacementStrategy& strategy_for(HeuristicKind kind);
 /// Lookup by display or CLI name; nullptr when unknown.
 const PlacementStrategy* strategy_by_name(const std::string& name);
 
-/// The paper's six, in the paper's presentation order.
+/// The registry's kinds, in the paper's presentation order.
 const std::vector<HeuristicKind>& all_heuristics();
 const char* heuristic_name(HeuristicKind kind);
 std::optional<HeuristicKind> heuristic_from_name(const std::string& name);

@@ -45,7 +45,6 @@ DynamicAllocator::DynamicAllocator(std::vector<ApplicationSpec> initial_apps,
     app_ids_.push_back(static_cast<int>(a));
     apps_.push_back(std::move(initial_apps[a]));
   }
-  next_arrival_id_ = static_cast<int>(apps_.size());
 }
 
 Problem DynamicAllocator::problem() const {
@@ -91,7 +90,7 @@ RepairReport DynamicAllocator::initialize(std::uint64_t seed) {
   rebuild_platform();
   RepairReport rep;
   rep.cost_before = 0.0;
-  refold_and_replay({}, {}, {});
+  refold_and_replay({});
   if (fallback_scratch(rep)) {
     rep.success = true;
     initialized_ = true;
@@ -105,34 +104,55 @@ RepairReport DynamicAllocator::initialize(std::uint64_t seed) {
   return rep;
 }
 
-void DynamicAllocator::refold_and_replay(
-    const std::vector<std::vector<int>>& prev_home,
-    const std::vector<ProcessorConfig>& prev_configs,
-    const std::vector<int>& prev_live) {
+DynamicAllocator::AssignmentSnapshot DynamicAllocator::snapshot_assignment(
+    int dropped_slot) const {
+  AssignmentSnapshot snap;
+  if (!state_) return snap;
+  int offset = 0;
+  for (std::size_t s = 0; s < apps_.size(); ++s) {
+    const int count = apps_[s].tree.num_operators();
+    if (static_cast<int>(s) != dropped_slot) {
+      std::vector<int>& homes = snap.home.emplace_back();
+      homes.reserve(static_cast<std::size_t>(count));
+      for (int i = 0; i < count; ++i) {
+        homes.push_back(state_->proc_of(offset + i));
+      }
+    }
+    offset += count;
+  }
+  snap.live = state_->live_processors();
+  if (!snap.live.empty()) {
+    snap.configs.resize(static_cast<std::size_t>(snap.live.back()) + 1);
+    for (int pid : snap.live) {
+      snap.configs[static_cast<std::size_t>(pid)] = state_->config(pid);
+    }
+  }
+  return snap;
+}
+
+void DynamicAllocator::refold_and_replay(const AssignmentSnapshot& prev) {
   if (apps_.empty()) {
     forest_ = OperatorTree();
-    op_app_slot_.clear();
     state_.reset();
     alloc_ = Allocation{};
     return;
   }
   CombinedApplication combined = combine_applications(apps_);
   forest_ = std::move(combined.forest);
-  op_app_slot_ = std::move(combined.app_of_op);
   state_.emplace(problem());
 
   // Re-buy the surviving processors (old pid -> new pid, purchase order
   // preserved) and replay the surviving assignment verbatim: existing
   // applications are not disrupted by a structural event.
-  std::vector<int> new_pid(prev_configs.size(), -1);
-  for (int old_pid : prev_live) {
+  std::vector<int> new_pid(prev.configs.size(), -1);
+  for (int old_pid : prev.live) {
     new_pid[static_cast<std::size_t>(old_pid)] =
-        state_->buy(prev_configs[static_cast<std::size_t>(old_pid)]);
+        state_->buy(prev.configs[static_cast<std::size_t>(old_pid)]);
   }
-  for (std::size_t s = 0; s < prev_home.size(); ++s) {
+  for (std::size_t s = 0; s < prev.home.size(); ++s) {
     const int offset = combined.op_offset_of_app[s];
-    for (std::size_t i = 0; i < prev_home[s].size(); ++i) {
-      const int old_pid = prev_home[s][i];
+    for (std::size_t i = 0; i < prev.home[s].size(); ++i) {
+      const int old_pid = prev.home[s][i];
       // kNoNode: the operator was unassigned in a degraded state (a failed
       // earlier event); it stays unassigned and place_unassigned or the
       // fallback picks it up.
@@ -546,63 +566,21 @@ RepairReport DynamicAllocator::apply(const WorkloadEvent& event,
       for (const ObjectType& t : forest_.catalog().all()) {
         spec.tree.mutable_catalog().set_type_frequency(t.id, t.freq_hz);
       }
-      std::vector<std::vector<int>> prev_home(apps_.size());
-      int offset = 0;
-      for (std::size_t s = 0; s < apps_.size(); ++s) {
-        const int count = apps_[s].tree.num_operators();
-        prev_home[s].reserve(static_cast<std::size_t>(count));
-        for (int i = 0; i < count; ++i) {
-          prev_home[s].push_back(state_->proc_of(offset + i));
-        }
-        offset += count;
-      }
-      std::vector<ProcessorConfig> prev_configs;
-      std::vector<int> prev_live;
-      if (state_) {  // absent only when arriving into an emptied world
-        prev_live = state_->live_processors();
-      }
-      if (!prev_live.empty()) {
-        prev_configs.resize(static_cast<std::size_t>(prev_live.back()) + 1);
-        for (int pid : prev_live) {
-          prev_configs[static_cast<std::size_t>(pid)] = state_->config(pid);
-        }
-      }
+      const AssignmentSnapshot prev = snapshot_assignment(-1);
       app_ids_.push_back(event.app_id);
       apps_.push_back(std::move(spec));
-      next_arrival_id_ = std::max(next_arrival_id_, event.app_id + 1);
-      refold_and_replay(prev_home, prev_configs, prev_live);
+      refold_and_replay(prev);
       arrival = true;
       break;
     }
     case EventKind::AppDeparture: {
       const int slot = app_slot(event.app_id);
       if (slot < 0) break;
-      std::vector<std::vector<int>> prev_home;
-      int offset = 0;
-      for (std::size_t s = 0; s < apps_.size(); ++s) {
-        const int count = apps_[s].tree.num_operators();
-        if (static_cast<int>(s) != slot) {
-          std::vector<int> homes;
-          homes.reserve(static_cast<std::size_t>(count));
-          for (int i = 0; i < count; ++i) {
-            homes.push_back(state_->proc_of(offset + i));
-          }
-          prev_home.push_back(std::move(homes));
-        }
-        offset += count;
-      }
-      std::vector<ProcessorConfig> prev_configs;
-      const std::vector<int> prev_live = state_->live_processors();
-      if (!prev_live.empty()) {
-        prev_configs.resize(static_cast<std::size_t>(prev_live.back()) + 1);
-        for (int pid : prev_live) {
-          prev_configs[static_cast<std::size_t>(pid)] = state_->config(pid);
-        }
-      }
-      const int before_procs = static_cast<int>(prev_live.size());
+      const AssignmentSnapshot prev = snapshot_assignment(slot);
+      const int before_procs = static_cast<int>(prev.live.size());
       app_ids_.erase(app_ids_.begin() + slot);
       apps_.erase(apps_.begin() + slot);
-      refold_and_replay(prev_home, prev_configs, prev_live);
+      refold_and_replay(prev);
       if (state_) {
         // Sell the processors the departure emptied.
         for (int pid : std::vector<int>(state_->live_processors())) {

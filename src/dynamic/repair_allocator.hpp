@@ -132,12 +132,22 @@ class DynamicAllocator {
  private:
   int app_slot(int app_id) const;  ///< index into apps_, -1 when gone
   void rebuild_platform();
+  /// The live assignment a structural event carries over to the refolded
+  /// forest.
+  struct AssignmentSnapshot {
+    /// Per surviving app slot, the processor of each of its operators.
+    std::vector<std::vector<int>> home;
+    /// Configuration of every live processor, indexed by processor id.
+    std::vector<ProcessorConfig> configs;
+    std::vector<int> live;  ///< live processor ids, purchase order
+  };
+  /// Snapshots the current assignment of every app slot except
+  /// `dropped_slot` (-1: keep all).  Empty when there is no state (an
+  /// arrival into an emptied world).
+  AssignmentSnapshot snapshot_assignment(int dropped_slot) const;
   /// Rebuilds the folded forest from apps_ and re-creates the
-  /// PlacementState, replaying the surviving assignment; `prev_home`
-  /// optionally maps forest op -> previous processor id per app slot.
-  void refold_and_replay(const std::vector<std::vector<int>>& prev_home,
-                         const std::vector<ProcessorConfig>& prev_configs,
-                         const std::vector<int>& prev_live);
+  /// PlacementState, replaying the snapshot's assignment verbatim.
+  void refold_and_replay(const AssignmentSnapshot& prev);
   /// Places every unassigned operator (arrivals) first-fit; buys when
   /// nothing fits.  Returns false when some operator fits nowhere.
   bool place_unassigned(RepairReport& report);
@@ -151,10 +161,6 @@ class DynamicAllocator {
   bool finish_allocation(RepairReport& report);
   /// Rebuilds state_ from an allocation (configs + assignment replayed).
   void adopt_allocation(const Allocation& alloc);
-  /// Counts ops whose co-residency group changed vs `before` (the
-  /// processor-id-agnostic disruption metric of docs/DESIGN.md §8).
-  static int count_moved_ops(const Allocation& before,
-                             const Allocation& after);
 
   RepairOptions opt_;
   PriceCatalog catalog_;
@@ -163,9 +169,7 @@ class DynamicAllocator {
   std::vector<bool> server_up_;
   std::vector<int> app_ids_;              // stable external ids
   std::vector<ApplicationSpec> apps_;     // parallel to app_ids_
-  int next_arrival_id_ = 0;
   OperatorTree forest_;                   // folded (rho baked into demands)
-  std::vector<int> op_app_slot_;          // forest op -> index into apps_
   std::optional<PlacementState> state_;
   /// Reused buffers of the repair loops: they reach steady-state capacity
   /// after the first round, so later rounds never touch the heap.

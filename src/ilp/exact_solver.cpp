@@ -13,6 +13,7 @@
 #include "core/server_selection.hpp"
 #include "core/strategy_registry.hpp"
 #include "ilp/bounds.hpp"
+#include "ilp/exact_solver_internal.hpp"
 #include "net/bandwidth_ledger.hpp"
 #include "util/rng.hpp"
 
@@ -98,142 +99,6 @@ class ExactRouter {
   std::vector<std::pair<int, int>> demands_;  // (proc, type)
   CardLedger cards_;
   LinkLedger links_;
-};
-
-/// Exact cost of a complete partition: cheapest configuration meeting each
-/// processor's full load (CPU + NIC including downloads and comm).
-std::optional<Dollars> complete_partition_cost(const Problem& problem,
-                                               const PlacementState& state,
-                                               int opened) {
-  Dollars total = 0.0;
-  for (int u = 0; u < opened; ++u) {
-    const auto cfg = problem.catalog->cheapest_meeting(state.cpu_demand(u),
-                                                       state.nic_load(u));
-    if (!cfg) return std::nullopt;
-    total += problem.catalog->cost(*cfg);
-  }
-  return total;
-}
-
-/// Shared leaf handler of both searches: price the complete partition,
-/// route servers exactly, and install the allocation as the new incumbent
-/// when strictly better.
-void try_complete_partition(const Problem& problem, const PlacementState& state,
-                            int opened, Dollars* best_cost,
-                            std::optional<Allocation>* best_alloc) {
-  const auto cost = complete_partition_cost(problem, state, opened);
-  if (!cost || *cost >= *best_cost - 1e-9) return;
-
-  Allocation alloc = state.to_allocation();
-  // Server routing: fast path, then exact.
-  if (!route_downloads_exact(problem, alloc)) return;
-
-  // Apply cheapest-meeting configs now that routes exist (routes do not
-  // change NIC loads — rates are server-independent).
-  const auto loads = compute_processor_loads(problem, alloc);
-  for (std::size_t u = 0; u < alloc.processors.size(); ++u) {
-    const auto cfg = problem.catalog->cheapest_meeting(loads[u].cpu_demand,
-                                                       loads[u].nic_total());
-    assert(cfg.has_value());
-    alloc.processors[u].config = *cfg;
-  }
-  *best_cost = *cost;
-  *best_alloc = std::move(alloc);
-}
-
-/// The pre-incremental search, kept verbatim as the differential oracle:
-/// copy-era pruning (per-processor CPU demand only), no incumbent seeding.
-class ReferenceSearch {
- public:
-  ReferenceSearch(const Problem& problem, const ExactSolverConfig& config)
-      : problem_(problem),
-        config_(config),
-        state_(problem),
-        order_(ops_by_work_desc(*problem.tree)) {}
-
-  ExactResult run() {
-    ExactResult result;
-    if (config_.incumbent) best_cost_ = *config_.incumbent;
-
-    // Pre-buy the maximum number of processors; only the first `opened`
-    // count toward cost and candidate targets.
-    const int n = problem_.tree->num_operators();
-    for (int i = 0; i < n; ++i) {
-      state_.buy(problem_.catalog->most_expensive());
-    }
-
-    budget_ok_ = true;
-    dfs(0, 0);
-
-    result.nodes_visited = nodes_;
-    if (!budget_ok_) {
-      result.status = ExactStatus::BudgetExhausted;
-    } else if (best_alloc_.has_value()) {
-      result.status = ExactStatus::Optimal;
-    } else {
-      result.status = ExactStatus::Infeasible;
-    }
-    if (best_alloc_) {
-      result.cost = best_cost_;
-      result.allocation = std::move(best_alloc_);
-    }
-    return result;
-  }
-
- private:
-  /// Cost of the partition if completed as-is: per opened processor the
-  /// cheapest configuration covering its *current* CPU demand only (the
-  /// historical bound; the incremental search proves NIC loads are monotone
-  /// too and charges them — see IncrementalSearch::partial_cost_bound).
-  Dollars partial_cost_bound(int opened) const {
-    Dollars total = 0.0;
-    for (int u = 0; u < opened; ++u) {
-      const auto cfg =
-          problem_.catalog->cheapest_meeting(state_.cpu_demand(u), 0.0);
-      if (!cfg) return kInf;
-      total += problem_.catalog->cost(*cfg);
-    }
-    return total;
-  }
-
-  void dfs(std::size_t depth, int opened) {
-    if (!budget_ok_) return;
-    if (config_.node_budget && nodes_ >= config_.node_budget) {
-      budget_ok_ = false;
-      return;
-    }
-    ++nodes_;
-
-    if (depth == order_.size()) {
-      try_complete_partition(problem_, state_, opened, &best_cost_,
-                             &best_alloc_);
-      return;
-    }
-    if (partial_cost_bound(opened) >= best_cost_ - 1e-9) return;
-
-    const int op = order_[depth];
-    const int max_target = std::min(opened + 1,
-                                    problem_.tree->num_operators());
-    for (int u = 0; u < max_target; ++u) {
-      // search_place validates only the capacities the assignment touched —
-      // equivalent to a full feasible() scan here because every state on the
-      // search path was feasible when it was extended.
-      if (state_.search_place(op, u)) {
-        dfs(depth + 1, std::max(opened, u + 1));
-      }
-      state_.search_unassign(op);
-      if (!budget_ok_) return;
-    }
-  }
-
-  const Problem& problem_;
-  const ExactSolverConfig& config_;
-  PlacementState state_;
-  std::vector<int> order_;
-  Dollars best_cost_ = kInf;
-  std::optional<Allocation> best_alloc_;
-  std::uint64_t nodes_ = 0;
-  bool budget_ok_ = true;
 };
 
 /// The incremental branch-and-bound (docs/DESIGN.md §14): one live
@@ -351,8 +216,8 @@ class IncrementalSearch {
     ++nodes_;
 
     if (depth == order_.size()) {
-      try_complete_partition(problem_, state_, opened, &best_cost_,
-                             &best_alloc_);
+      ilpdetail::try_complete_partition(problem_, state_, opened,
+                                        &best_cost_, &best_alloc_);
       return;
     }
     const Dollars bound =
@@ -387,6 +252,46 @@ class IncrementalSearch {
 
 } // namespace
 
+namespace ilpdetail {
+
+std::optional<Dollars> complete_partition_cost(const Problem& problem,
+                                               const PlacementState& state,
+                                               int opened) {
+  Dollars total = 0.0;
+  for (int u = 0; u < opened; ++u) {
+    const auto cfg = problem.catalog->cheapest_meeting(state.cpu_demand(u),
+                                                       state.nic_load(u));
+    if (!cfg) return std::nullopt;
+    total += problem.catalog->cost(*cfg);
+  }
+  return total;
+}
+
+void try_complete_partition(const Problem& problem, const PlacementState& state,
+                            int opened, Dollars* best_cost,
+                            std::optional<Allocation>* best_alloc) {
+  const auto cost = complete_partition_cost(problem, state, opened);
+  if (!cost || *cost >= *best_cost - 1e-9) return;
+
+  Allocation alloc = state.to_allocation();
+  // Server routing: fast path, then exact.
+  if (!route_downloads_exact(problem, alloc)) return;
+
+  // Apply cheapest-meeting configs now that routes exist (routes do not
+  // change NIC loads — rates are server-independent).
+  const auto loads = compute_processor_loads(problem, alloc);
+  for (std::size_t u = 0; u < alloc.processors.size(); ++u) {
+    const auto cfg = problem.catalog->cheapest_meeting(loads[u].cpu_demand,
+                                                       loads[u].nic_total());
+    assert(cfg.has_value());
+    alloc.processors[u].config = *cfg;
+  }
+  *best_cost = *cost;
+  *best_alloc = std::move(alloc);
+}
+
+} // namespace ilpdetail
+
 bool route_downloads_exact(const Problem& problem, Allocation& alloc) {
   // Fast path: the paper's three-loop heuristic.
   {
@@ -418,11 +323,6 @@ bool route_downloads_exact(const Problem& problem, Allocation& alloc) {
 ExactResult solve_exact(const Problem& problem,
                         const ExactSolverConfig& config) {
   return IncrementalSearch(problem, config).run();
-}
-
-ExactResult solve_exact_reference(const Problem& problem,
-                                  const ExactSolverConfig& config) {
-  return ReferenceSearch(problem, config).run();
 }
 
 } // namespace insp

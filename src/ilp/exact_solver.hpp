@@ -10,7 +10,7 @@
 //    undone with `search_unassign` (touched-set verdicts) — realized loads
 //    grow monotonically along a search path, so a failed touched verdict
 //    prunes the whole subtree;
-//  - the incumbent is seeded from every registry heuristic before the
+//  - the incumbent is seeded from the registry's six heuristics before the
 //    search starts, and nodes prune against the composite lower bound
 //    (ilp/bounds.hpp: fractional packing + forced communication) plus a
 //    partial-state bound: per opened processor the cheapest configuration
@@ -26,9 +26,11 @@
 //
 // Practical for the paper's comparison sizes (N <= ~16, where CPLEX itself
 // topped out at 20); a node budget turns the result into a lower-bound
-// status instead of hanging.  `solve_exact_reference` keeps the previous
-// copy-era search (CPU-only bound, no seeding) alive as the differential
-// oracle for tests/ilp and the node-count baseline for bench_ilp_comparison.
+// status instead of hanging.  The previous copy-era search (CPU-only bound,
+// no seeding) lives on as a test-only oracle,
+// tests/oracles/exact_reference.hpp: the differential oracle for tests/ilp
+// and the node-count baseline for bench_ilp_comparison.  Both searches
+// price leaves through ilp/exact_solver_internal.hpp.
 #pragma once
 
 #include <cstdint>
@@ -45,9 +47,9 @@ struct ExactSolverConfig {
   std::uint64_t node_budget = 20'000'000;
   /// Optional upper bound seed (e.g. a heuristic's cost) to prune earlier.
   std::optional<Dollars> incumbent;
-  /// Run every registry heuristic first and adopt the best feasible result
-  /// as the starting incumbent (and as the answer, when it meets the root
-  /// lower bound).  The reference solver ignores this.
+  /// Run the registry's six heuristics first and adopt the best feasible
+  /// result as the starting incumbent (and as the answer, when it meets the
+  /// root lower bound).  The reference search ignores this.
   bool seed_with_heuristics = true;
 };
 
@@ -67,13 +69,6 @@ struct ExactResult {
 
 ExactResult solve_exact(const Problem& problem,
                         const ExactSolverConfig& config = {});
-
-/// The pre-incremental branch-and-bound (copy-era pruning: CPU-only partial
-/// bound, no incumbent seeding, no composite root bound).  Kept verbatim as
-/// a differential oracle: tests/ilp assert cost/status agreement with
-/// solve_exact, and bench_ilp_comparison reports the node-count ratio.
-ExactResult solve_exact_reference(const Problem& problem,
-                                  const ExactSolverConfig& config = {});
 
 /// Exact feasibility of server selection for a fixed operator placement:
 /// backtracking over per-(processor, type) demands.  Fills `alloc`'s

@@ -65,7 +65,6 @@ CombinedApplication combine_applications(
       copy.output_mb = rho * n.output_mb;
       for (OutEdge& e : copy.out) e.delta = rho * e.delta;
       ops.push_back(std::move(copy));
-      out.app_of_op.push_back(static_cast<int>(a));
     }
     for (const auto& l : tree.leaf_refs()) {
       leaves.push_back(LeafRef{l.object_type, l.parent_op + op_offset});

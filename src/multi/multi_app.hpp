@@ -30,8 +30,6 @@ struct ApplicationSpec {
 struct CombinedApplication {
   /// Forest over the shared catalog, demands folded (solve at rho = 1).
   OperatorTree forest;
-  /// Forest operator id -> application index.
-  std::vector<int> app_of_op;
   /// Application index -> forest id of its root.
   std::vector<int> root_of_app;
   /// Application index -> first forest id of its operators (ids are

@@ -6,6 +6,11 @@ namespace insp {
 
 namespace {
 
+/// Bisection stops after kMaxBisections steps or once the bracket is within
+/// kRelativeTolerance of its lower end.
+constexpr int kMaxBisections = 40;
+constexpr double kRelativeTolerance = 1e-3;
+
 /// Runs the pipeline at the probe rho; success means "within budget".
 std::optional<AllocationOutcome> probe(const Problem& base,
                                        const BudgetPlanConfig& cfg,
@@ -13,8 +18,7 @@ std::optional<AllocationOutcome> probe(const Problem& base,
   Problem p = base;
   p.rho = rho;
   Rng local = rng;  // identical stream per probe: rho is the only variable
-  AllocationOutcome out = allocate(p, cfg.heuristic, local,
-                                   cfg.allocator_options);
+  AllocationOutcome out = allocate(p, cfg.heuristic, local);
   if (!out.success || out.cost > cfg.budget + 1e-9) return std::nullopt;
   return out;
 }
@@ -49,8 +53,7 @@ BudgetPlanResult plan_for_budget(const Problem& problem,
 
   // Bisection between the last feasible lo and the first infeasible hi.
   if (hi > lo) {
-    for (int i = 0; i < config.max_iterations &&
-                    (hi - lo) > config.relative_tolerance * lo;
+    for (int i = 0; i < kMaxBisections && (hi - lo) > kRelativeTolerance * lo;
          ++i) {
       const double mid = 0.5 * (lo + hi);
       auto out = probe(problem, config, mid, rng);

@@ -19,12 +19,9 @@ namespace insp {
 struct BudgetPlanConfig {
   Dollars budget = 0.0;
   HeuristicKind heuristic = HeuristicKind::SubtreeBottomUp;
-  AllocatorOptions allocator_options;
-  /// Bisection control.
+  /// The probed rho range; every probe runs allocate() with default options.
   double rho_min = 1e-3;
   double rho_max = 1024.0;
-  int max_iterations = 40;
-  double relative_tolerance = 1e-3;
 };
 
 struct BudgetPlanResult {

@@ -10,23 +10,11 @@
 // tokens back up and the measured output rate drops below rho — giving an
 // executable cross-check of the closed-form flow analysis.
 //
-// Two interchangeable cores implement these semantics:
-//
-//   simulate_allocation        — the sparse pre-indexed core (DESIGN.md §8):
-//                                crossing edges, link budgets and processor
-//                                schedules are indexed once up front and the
-//                                steady-state period loop does no heap
-//                                allocation;
-//   simulate_allocation_dense_reference
-//                              — the seed-era dense implementation (full
-//                                n_procs x n_procs link matrix rebuilt every
-//                                period, full-vector snapshots, node-by-node
-//                                tree walks), kept compiled-in as the oracle
-//                                for the differential test suite and the
-//                                baseline for bench_sim_speed.
-//
-// Both cores must produce bit-identical results for every input
-// (tests/sim/sim_differential_test.cpp enforces this).
+// simulate_allocation is the sparse pre-indexed core (DESIGN.md §8):
+// crossing edges, link budgets and processor schedules are indexed once up
+// front and the steady-state period loop does no heap allocation.  A
+// test-only dense reference (tests/oracles/event_sim_dense.hpp) must agree
+// with it bit-exactly on every input (tests/sim/sim_differential_test.cpp).
 #pragma once
 
 #include "core/allocation.hpp"
@@ -81,28 +69,23 @@ struct EventSimResult {
   /// The values actually used after auto-derivation/clamping.
   int warmup_periods_used = 0;
   int max_results_ahead_used = 0;
-  /// Periods actually executed.  The sparse core fast-forwards over whole
+  /// Periods actually executed.  The simulator fast-forwards over whole
   /// steady-state cycles, so a plan that settles reports fewer than the
-  /// window; the dense reference always runs the full window.  An output
-  /// only: every other field is identical to a full-window run.
+  /// window.  An output only: every other field is identical to a
+  /// full-window run.
   int periods_simulated = 0;
 };
 
-/// Sparse core, healthy platform (every server up, uniform links).
+/// Healthy platform (every server up, uniform links).
 EventSimResult simulate_allocation(const Problem& problem,
                                    const Allocation& alloc,
                                    const EventSimConfig& config = {});
 
-/// Sparse core against a degraded platform view (failed servers,
-/// per-pair link bandwidths) — what scenario replay uses.
+/// Against a degraded platform view (failed servers, per-pair link
+/// bandwidths) — what scenario replay uses.
 EventSimResult simulate_allocation(const Problem& problem,
                                    const Allocation& alloc,
                                    const SimPlatformView& view,
                                    const EventSimConfig& config = {});
-
-/// Dense reference implementation (differential oracle + bench baseline).
-EventSimResult simulate_allocation_dense_reference(
-    const Problem& problem, const Allocation& alloc,
-    const SimPlatformView& view, const EventSimConfig& config = {});
 
 } // namespace insp

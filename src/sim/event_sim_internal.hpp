@@ -1,9 +1,11 @@
-// Shared setup for the two event-simulator cores (sparse and dense
-// reference).  Everything that influences the *semantics* of a simulation —
-// resolved config, per-period budgets, starvation from down download
-// routes, crossing-edge discovery — is computed here exactly once, so the
-// cores can only differ in data layout and per-period mechanics, never in
-// the verdict.  Internal header: included by src/sim/*.cpp only.
+// Shared setup for the two event-simulator cores (the sparse core and the
+// test-only dense reference, tests/oracles/event_sim_dense.cpp).
+// Everything that influences the *semantics* of a simulation — resolved
+// config, per-period budgets, starvation from down download routes,
+// crossing-edge discovery — is computed here exactly once, so the cores
+// can only differ in data layout and per-period mechanics, never in the
+// verdict.  Internal header: included by src/sim/*.cpp and the dense
+// oracle only.
 #pragma once
 
 #include <vector>

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include "../test_helpers.hpp"
+#include "core/server_selection.hpp"
 
 namespace insp {
 namespace {
@@ -72,19 +73,28 @@ TEST(Allocator, ServerSelectionFailureReported) {
 
 TEST(Allocator, PaperDefaultPairsRandomWithRandomSelection) {
   // Contrived platform where random selection is very likely to overload:
-  // two hosts for each heavy type, one of which is tiny.
+  // two hosts for each heavy type, one of which is tiny.  Both policies
+  // route the same Random placement; allocate() must take the random one.
   Fixture f = fig1a_fixture(1.0, 480.0);
   f.platform = testhelpers::simple_platform({{0, 1, 2}, {0, 1, 2}}, 3,
                                             /*card=*/1500.0);
+  const Problem prob = f.problem();
   int random_failures = 0, three_loop_failures = 0;
   for (std::uint64_t seed = 0; seed < 20; ++seed) {
-    Rng r1(seed), r2(seed);
-    AllocatorOptions forced;
-    forced.server_selection = ServerSelectionKind::ThreeLoop;
-    const auto rnd = allocate(f.problem(), HeuristicKind::Random, r1);
-    const auto tl = allocate(f.problem(), HeuristicKind::Random, r2, forced);
-    random_failures += rnd.success ? 0 : 1;
-    three_loop_failures += tl.success ? 0 : 1;
+    Rng rng(seed);
+    PlacementState state(prob);
+    ASSERT_TRUE(place_random(state, rng).success);
+    Allocation rnd = state.to_allocation();
+    Allocation tl = rnd;
+    const bool rnd_ok = select_servers_random(prob, rnd, rng).success &&
+                        check_allocation(prob, rnd).ok();
+    const bool tl_ok = select_servers_three_loop(prob, tl).success &&
+                       check_allocation(prob, tl).ok();
+    Rng same(seed);
+    EXPECT_EQ(allocate(prob, HeuristicKind::Random, same).success, rnd_ok)
+        << "seed " << seed;
+    random_failures += rnd_ok ? 0 : 1;
+    three_loop_failures += tl_ok ? 0 : 1;
   }
   // The capacity-aware policy should not fail more often than the random
   // one, and the random one should fail at least occasionally here.

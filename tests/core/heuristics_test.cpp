@@ -7,9 +7,9 @@
 #include <set>
 
 #include "../test_helpers.hpp"
-#include "core/ablation_variants.hpp"
 #include "core/allocator.hpp"
 #include "core/placement_common.hpp"
+#include "oracles/ablation_variants.hpp"
 #include "tree/tree_stats.hpp"
 
 namespace insp {

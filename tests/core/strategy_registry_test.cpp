@@ -4,26 +4,22 @@
 
 #include <set>
 #include <string>
-
-#include "../test_helpers.hpp"
-#include "core/allocator.hpp"
+#include <vector>
 
 namespace insp {
 namespace {
 
-using testhelpers::fig1a_fixture;
-
-TEST(StrategyRegistry, PaperSixFirstThenAblations) {
+TEST(StrategyRegistry, HoldsExactlyThePaperSixInPaperOrder) {
+  const std::vector<HeuristicKind> paper_order = {
+      HeuristicKind::Random,         HeuristicKind::CompGreedy,
+      HeuristicKind::CommGreedy,     HeuristicKind::SubtreeBottomUp,
+      HeuristicKind::ObjectGrouping, HeuristicKind::ObjectAvailability};
   const auto& reg = placement_registry();
-  ASSERT_GE(reg.size(), 8u);
-  for (std::size_t i = 0; i < 6; ++i) {
-    EXPECT_TRUE(reg[i].paper_core) << reg[i].name;
+  ASSERT_EQ(reg.size(), paper_order.size());
+  for (std::size_t i = 0; i < reg.size(); ++i) {
+    EXPECT_EQ(reg[i].kind, paper_order[i]) << reg[i].name;
   }
-  for (std::size_t i = 6; i < reg.size(); ++i) {
-    EXPECT_FALSE(reg[i].paper_core) << reg[i].name;
-  }
-  EXPECT_EQ(all_heuristics().size(), 6u);
-  EXPECT_EQ(all_heuristics().front(), HeuristicKind::Random);
+  EXPECT_EQ(all_heuristics(), paper_order);
 }
 
 TEST(StrategyRegistry, EveryEntryIsComplete) {
@@ -33,8 +29,6 @@ TEST(StrategyRegistry, EveryEntryIsComplete) {
     EXPECT_NE(s.name, nullptr);
     EXPECT_NE(s.cli_name, nullptr);
     EXPECT_TRUE(s.place != nullptr) << s.name;
-    EXPECT_NE(s.default_selection, ServerSelectionKind::PaperDefault)
-        << s.name;
     EXPECT_TRUE(names.insert(s.name).second) << "duplicate name " << s.name;
     EXPECT_TRUE(cli_names.insert(s.cli_name).second)
         << "duplicate cli name " << s.cli_name;
@@ -58,34 +52,21 @@ TEST(StrategyRegistry, LookupByDisplayAndCliName) {
   EXPECT_FALSE(heuristic_from_name("Nope").has_value());
   // CLI spellings resolve through the optional-returning helper too.
   EXPECT_EQ(heuristic_from_name("sbu"), HeuristicKind::SubtreeBottomUp);
-  EXPECT_EQ(heuristic_from_name("sbu-no-coalesce"),
-            HeuristicKind::SbuNoCoalesce);
+  // Ablation variants are test-only oracles, not registry strategies.
+  EXPECT_EQ(heuristic_from_name("sbu-no-coalesce"), std::nullopt);
+  EXPECT_EQ(heuristic_from_name("random-pair"), std::nullopt);
 }
 
 TEST(StrategyRegistry, PaperSelectionPairing) {
   EXPECT_EQ(strategy_for(HeuristicKind::Random).default_selection,
             ServerSelectionKind::RandomChoice);
-  EXPECT_EQ(strategy_for(HeuristicKind::RandomPairGrouping).default_selection,
-            ServerSelectionKind::RandomChoice);
   for (HeuristicKind k :
        {HeuristicKind::CompGreedy, HeuristicKind::CommGreedy,
         HeuristicKind::SubtreeBottomUp, HeuristicKind::ObjectGrouping,
-        HeuristicKind::ObjectAvailability, HeuristicKind::SbuNoCoalesce}) {
+        HeuristicKind::ObjectAvailability}) {
     EXPECT_EQ(strategy_for(k).default_selection,
               ServerSelectionKind::ThreeLoop)
         << heuristic_name(k);
-  }
-}
-
-TEST(StrategyRegistry, AblationKindsRunTheFullAllocatorPipeline) {
-  const auto f = fig1a_fixture(1.0, 10.0);
-  for (HeuristicKind k :
-       {HeuristicKind::SbuNoCoalesce, HeuristicKind::RandomPairGrouping}) {
-    Rng rng(11);
-    const AllocationOutcome out = allocate(f.problem(), k, rng);
-    EXPECT_TRUE(out.success)
-        << heuristic_name(k) << ": " << out.failure_reason;
-    EXPECT_GT(out.cost, 0.0);
   }
 }
 

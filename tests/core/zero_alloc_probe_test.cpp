@@ -5,11 +5,11 @@
 // probes, group lift cycles, failed grouping calls, committed move
 // ping-pongs and repair-style first-fit scans must perform ZERO heap
 // allocations.  The test compiles in the global counting operator new
-// (util/alloc_counter.hpp) and fails on any non-zero delta, so a
+// (tests/alloc_counter.hpp) and fails on any non-zero delta, so a
 // reintroduced per-call temporary anywhere under these paths is caught
 // exactly, not statistically.
 #define INSP_DEFINE_COUNTING_ALLOCATOR
-#include "util/alloc_counter.hpp"
+#include "../alloc_counter.hpp"
 
 #include <gtest/gtest.h>
 

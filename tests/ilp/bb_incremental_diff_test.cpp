@@ -15,6 +15,7 @@
 #include "../test_helpers.hpp"
 #include "core/constraints.hpp"
 #include "ilp/exact_solver.hpp"
+#include "oracles/exact_reference.hpp"
 
 namespace insp {
 namespace {

@@ -30,10 +30,6 @@ TEST(CombineApplications, ForestShapeAndOffsets) {
   EXPECT_FALSE(c.forest.validate().has_value());
   EXPECT_EQ(c.op_offset_of_app, (std::vector<int>{0, 5}));
   EXPECT_EQ(c.root_of_app, (std::vector<int>{0, 5}));
-  for (int op = 0; op < 5; ++op) {
-    EXPECT_EQ(c.app_of_op[static_cast<std::size_t>(op)], 0);
-    EXPECT_EQ(c.app_of_op[static_cast<std::size_t>(op + 5)], 1);
-  }
 }
 
 TEST(CombineApplications, FoldsThroughputIntoDemands) {

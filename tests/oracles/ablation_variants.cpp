@@ -1,4 +1,4 @@
-#include "core/ablation_variants.hpp"
+#include "oracles/ablation_variants.hpp"
 
 #include <algorithm>
 

@@ -1,6 +1,8 @@
 // Ablation variants of the design decisions docs/DESIGN.md documents for the
-// heuristics.  The bench_ablations binary compares each variant against the
-// default to quantify how much the decision matters:
+// heuristics.  Test-only (the insp_oracles library): they are not registry
+// strategies, so allocate() never runs them.  bench_ablations calls them
+// directly and compares each against its default to quantify how much the
+// decision matters:
 //  - Subtree-Bottom-Up without opportunistic sibling-processor coalescing
 //    (paper's literal "merge with the father" only);
 //  - grouping limited to the paper's literal operator pair (no transitive

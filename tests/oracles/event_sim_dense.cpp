@@ -1,5 +1,5 @@
 // Dense reference implementation of the event simulator: the seed-era data
-// layout, kept compiled-in as the oracle for the differential test suite
+// layout, kept as the oracle for the differential test suite
 // (tests/sim/sim_differential_test.cpp) and the baseline bench_sim_speed
 // measures the sparse core against.
 //
@@ -14,7 +14,7 @@
 #include <deque>
 #include <vector>
 
-#include "sim/event_sim.hpp"
+#include "oracles/event_sim_dense.hpp"
 #include "sim/event_sim_internal.hpp"
 
 namespace insp {

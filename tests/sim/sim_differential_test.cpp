@@ -17,6 +17,7 @@
 #include "core/allocator.hpp"
 #include "dynamic/scenario_engine.hpp"
 #include "multi/multi_app.hpp"
+#include "oracles/event_sim_dense.hpp"
 #include "sim/event_sim.hpp"
 
 namespace insp {
