@@ -59,34 +59,47 @@ std::vector<ProcessorLoads> compute_processor_loads(const Problem& problem,
     }
   }
 
-  // Crossing edges: one shipment per (producer, distinct destination
-  // processor) at the max out-edge delta into it (multicast dedup,
-  // docs/DESIGN.md §13) — the single child->parent edge on trees.
+  // Crossing edges: the multicast rule (OperatorTree::visit_shipments).
+  const auto proc_of = [&](int op) {
+    return alloc.op_to_proc[static_cast<std::size_t>(op)];
+  };
   for (const auto& n : tree.operators()) {
-    const int uc = alloc.op_to_proc[static_cast<std::size_t>(n.id)];
+    const int uc = proc_of(n.id);
     if (uc == kNoNode) continue;
-    const auto& out = n.out;
-    for (std::size_t a = 0; a < out.size(); ++a) {
-      const int up = alloc.op_to_proc[static_cast<std::size_t>(out[a].dst)];
-      if (up == kNoNode || up == uc) continue;
-      bool first = true;
-      for (std::size_t b = 0; b < a; ++b) {
-        if (alloc.op_to_proc[static_cast<std::size_t>(out[b].dst)] == up) {
-          first = false;
-          break;
-        }
-      }
-      if (!first) continue;
-      MegaBytes mx = out[a].delta;
-      for (std::size_t b = a + 1; b < out.size(); ++b) {
-        if (alloc.op_to_proc[static_cast<std::size_t>(out[b].dst)] == up) {
-          mx = std::max(mx, out[b].delta);
-        }
-      }
+    tree.visit_shipments(n.id, uc, proc_of, [&](int up, MegaBytes mx) {
       const MBps v = problem.rho * mx;
       loads[static_cast<std::size_t>(uc)].comm_out += v;
       loads[static_cast<std::size_t>(up)].comm_in += v;
+    });
+  }
+  return loads;
+}
+
+LinkLoads compute_link_loads(const Problem& problem, const Allocation& alloc) {
+  const OperatorTree& tree = *problem.tree;
+  const int num_servers = problem.platform->num_servers();
+  const int num_types = tree.catalog().count();
+  LinkLoads loads;
+  loads.server_card.assign(static_cast<std::size_t>(num_servers), 0.0);
+  for (std::size_t u = 0; u < alloc.processors.size(); ++u) {
+    for (const auto& dl : alloc.processors[u].downloads) {
+      if (dl.server < 0 || dl.server >= num_servers) continue;
+      if (dl.object_type < 0 || dl.object_type >= num_types) continue;
+      const MBps r = tree.catalog().type(dl.object_type).rate();
+      loads.server_card[static_cast<std::size_t>(dl.server)] += r;
+      loads.server_proc[{dl.server, static_cast<int>(u)}] += r;
     }
+  }
+  const auto proc_of = [&](int op) {
+    return alloc.op_to_proc[static_cast<std::size_t>(op)];
+  };
+  for (const auto& n : tree.operators()) {
+    const int uc = proc_of(n.id);
+    if (uc == kNoNode) continue;
+    tree.visit_shipments(n.id, uc, proc_of, [&](int up, MegaBytes mx) {
+      loads.proc_proc[{std::min(uc, up), std::max(uc, up)}] +=
+          problem.rho * mx;
+    });
   }
   return loads;
 }

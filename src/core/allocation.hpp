@@ -3,7 +3,9 @@
 // each basic object it needs (the DL(u) sets of the paper).
 #pragma once
 
+#include <map>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "core/problem.hpp"
@@ -51,6 +53,21 @@ struct ProcessorLoads {
 /// can cross-validate the incremental accounting against this ground truth.
 std::vector<ProcessorLoads> compute_processor_loads(const Problem& problem,
                                                     const Allocation& alloc);
+
+/// Link and server-card loads, at the problem's rho.  The one aggregation
+/// behind the checker's constraints (3)-(5), the flow analyzer and the
+/// utilization report.
+struct LinkLoads {
+  std::vector<MBps> server_card;                   ///< per server, (3)
+  std::map<std::pair<int, int>, MBps> server_proc; ///< (server, proc), (4)
+  std::map<std::pair<int, int>, MBps> proc_proc;   ///< (lo, hi) procs, (5)
+};
+
+/// Recomputes link loads from scratch.  Download routes naming an unknown
+/// server or object type are skipped (the checker reports them as
+/// DownloadRouting violations); the processor pairs follow the multicast
+/// rule of OperatorTree::visit_shipments.
+LinkLoads compute_link_loads(const Problem& problem, const Allocation& alloc);
 
 /// Distinct object types needed on each processor, sorted ascending.
 std::vector<std::vector<int>> needed_types_per_processor(

@@ -1,7 +1,5 @@
 #include "core/constraints.hpp"
 
-#include <algorithm>
-#include <map>
 #include <set>
 #include <sstream>
 
@@ -158,30 +156,19 @@ class Checker {
   }
 
   void check_servers_and_links() {
-    const auto& tree = *p_.tree;
     const auto& plat = *p_.platform;
+    const LinkLoads links = compute_link_loads(p_, a_);
     // (3) server cards and (4) server->processor links.
-    std::vector<MBps> server_load(static_cast<std::size_t>(plat.num_servers()),
-                                  0.0);
-    std::map<std::pair<int, int>, MBps> sp_link;  // (server, proc)
-    for (std::size_t u = 0; u < a_.processors.size(); ++u) {
-      for (const auto& dl : a_.processors[u].downloads) {
-        if (dl.server < 0 || dl.server >= plat.num_servers()) continue;
-        const MBps r = tree.catalog().type(dl.object_type).rate();
-        server_load[static_cast<std::size_t>(dl.server)] += r;
-        sp_link[{dl.server, static_cast<int>(u)}] += r;
-      }
-    }
     for (int l = 0; l < plat.num_servers(); ++l) {
-      if (!fits_within(server_load[static_cast<std::size_t>(l)],
-                       plat.server(l).card_bandwidth)) {
+      const MBps load = links.server_card[static_cast<std::size_t>(l)];
+      if (!fits_within(load, plat.server(l).card_bandwidth)) {
         std::ostringstream ss;
-        ss << "S" << l << " card " << server_load[static_cast<std::size_t>(l)]
-           << " > " << plat.server(l).card_bandwidth;
+        ss << "S" << l << " card " << load << " > "
+           << plat.server(l).card_bandwidth;
         fail(ViolationKind::ServerCard, ss.str());
       }
     }
-    for (const auto& [key, load] : sp_link) {
+    for (const auto& [key, load] : links.server_proc) {
       if (!fits_within(load, plat.link_server_proc())) {
         std::ostringstream ss;
         ss << "link S" << key.first << "->P" << key.second << " " << load
@@ -189,36 +176,8 @@ class Checker {
         fail(ViolationKind::ServerProcLink, ss.str());
       }
     }
-    // (5) processor<->processor links.  A producer ships its result once
-    // per distinct destination processor, at the max out-edge delta into it
-    // (multicast dedup, docs/DESIGN.md §13); on trees this is the single
-    // child->parent edge at rho * output_mb, as before.
-    std::map<std::pair<int, int>, MBps> pp_link;
-    for (const auto& n : tree.operators()) {
-      const int uc = a_.op_to_proc[static_cast<std::size_t>(n.id)];
-      if (uc == kNoNode) continue;
-      const auto& out = n.out;
-      for (std::size_t a = 0; a < out.size(); ++a) {
-        const int up = a_.op_to_proc[static_cast<std::size_t>(out[a].dst)];
-        if (up == kNoNode || up == uc) continue;
-        bool first = true;
-        for (std::size_t b = 0; b < a; ++b) {
-          if (a_.op_to_proc[static_cast<std::size_t>(out[b].dst)] == up) {
-            first = false;
-            break;
-          }
-        }
-        if (!first) continue;
-        MegaBytes mx = out[a].delta;
-        for (std::size_t b = a + 1; b < out.size(); ++b) {
-          if (a_.op_to_proc[static_cast<std::size_t>(out[b].dst)] == up) {
-            mx = std::max(mx, out[b].delta);
-          }
-        }
-        pp_link[{std::min(uc, up), std::max(uc, up)}] += p_.rho * mx;
-      }
-    }
-    for (const auto& [key, load] : pp_link) {
+    // (5) processor<->processor links, under the multicast rule.
+    for (const auto& [key, load] : links.proc_proc) {
       if (!fits_within(load, plat.link_proc_proc())) {
         std::ostringstream ss;
         ss << "link P" << key.first << "<->P" << key.second << " " << load

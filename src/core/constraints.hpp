@@ -2,9 +2,12 @@
 // (1)-(5), plus structural sanity (every operator mapped, every needed
 // object downloaded exactly once per processor from a hosting server).
 //
-// This checker recomputes everything from scratch and shares no code with
-// the incremental accounting in PlacementState — property tests validate
-// one implementation against the other.
+// This checker recomputes everything from scratch (compute_processor_loads,
+// compute_link_loads) and shares no accounting state with PlacementState —
+// property tests validate one implementation against the other.  Both
+// charge crossing edges through the one multicast rule,
+// OperatorTree::visit_shipments; its independent restatements live in the
+// tests (tests/core/charging_rule_test.cpp and the placement fuzzers).
 #pragma once
 
 #include <string>

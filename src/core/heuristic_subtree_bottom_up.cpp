@@ -46,32 +46,17 @@ void grow_to_fixpoint(PlacementState& state, int pid) {
 /// what lets SBU approach the optimum the paper reports.
 void consolidation_sweep(PlacementState& state) {
   const OperatorTree& tree = *state.problem().tree;
+  const auto proc_of = [&](int op) { return state.proc_of(op); };
   for (;;) {
-    // Pairwise crossing traffic, deduped per (producer, distinct
-    // destination processor) at the max out-edge delta — matching the
-    // charging semantics (docs/DESIGN.md §13); the per-edge output_mb on
-    // trees, as before.
+    // Pairwise crossing traffic under the multicast charging rule
+    // (OperatorTree::visit_shipments).
     std::map<std::pair<int, int>, MBps> traffic;
     for (const auto& n : tree.operators()) {
-      const int a = state.proc_of(n.id);
+      const int a = proc_of(n.id);
       if (a == kNoNode) continue;
-      for (std::size_t i = 0; i < n.out.size(); ++i) {
-        const int b = state.proc_of(n.out[i].dst);
-        if (b == kNoNode || b == a) continue;
-        bool first = true;
-        for (std::size_t j = 0; j < i; ++j) {
-          if (state.proc_of(n.out[j].dst) == b) {
-            first = false;
-            break;
-          }
-        }
-        if (!first) continue;
-        MegaBytes mx = n.out[i].delta;
-        for (std::size_t j = i + 1; j < n.out.size(); ++j) {
-          if (state.proc_of(n.out[j].dst) == b) mx = std::max(mx, n.out[j].delta);
-        }
+      tree.visit_shipments(n.id, a, proc_of, [&](int b, MegaBytes mx) {
         traffic[{std::min(a, b), std::max(a, b)}] += mx;
-      }
+      });
     }
     std::vector<std::pair<std::pair<int, int>, MBps>> pairs(traffic.begin(),
                                                             traffic.end());

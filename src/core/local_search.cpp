@@ -2,11 +2,17 @@
 
 #include <algorithm>
 #include <cassert>
+#include <optional>
 
 #include "util/log.hpp"
 
 namespace insp {
 
+namespace {
+
+// Projected post-downgrade cost of one live processor (cheapest catalog
+// configuration meeting its current loads; its current — always sufficient
+// — configuration is the fallback).
 Dollars projected_processor_cost(const PlacementState& state, int pid) {
   const PriceCatalog& cat = *state.problem().catalog;
   const auto cfg =
@@ -14,6 +20,8 @@ Dollars projected_processor_cost(const PlacementState& state, int pid) {
   return cfg ? cat.cost(*cfg) : cat.cost(state.config(pid));
 }
 
+// Projected cost of processors `a` and `b` merged onto one (analytic: no
+// state mutation).  nullopt when no catalog model could host the merge.
 std::optional<Dollars> projected_merged_cost(const PlacementState& state,
                                              int a, int b) {
   const PriceCatalog& cat = *state.problem().catalog;
@@ -36,33 +44,8 @@ std::optional<Dollars> projected_merged_cost(const PlacementState& state,
   return cat.cost(*cfg);
 }
 
-namespace {
-
-bool merge_pass(PlacementState& state, LocalSearchStats& stats) {
-  bool improved = false;
-  const auto procs = state.live_processors();
-  for (std::size_t i = 0; i < procs.size(); ++i) {
-    for (std::size_t j = i + 1; j < procs.size(); ++j) {
-      const int a = procs[i], b = procs[j];
-      if (!state.is_live(a) || !state.is_live(b)) continue;
-      const auto merged = projected_merged_cost(state, a, b);
-      if (!merged) continue;
-      const Dollars pair_cost = projected_processor_cost(state, a) +
-                                projected_processor_cost(state, b);
-      if (*merged >= pair_cost - 1e-9) continue;
-      // Prefer moving the lighter processor.
-      const int from =
-          state.ops_on(a).size() <= state.ops_on(b).size() ? a : b;
-      const int to = from == a ? b : a;
-      if (state.try_place(state.ops_on(from), to) ||
-          state.try_place(state.ops_on(to), from)) {
-        ++stats.merges;
-        improved = true;
-      }
-    }
-  }
-  return improved;
-}
+// refine_placement stops at a fixpoint or after this many passes.
+constexpr int kMaxPasses = 8;
 
 bool relocation_pass(PlacementState& state, LocalSearchStats& stats) {
   bool improved = false;
@@ -99,6 +82,36 @@ bool relocation_pass(PlacementState& state, LocalSearchStats& stats) {
 
 } // namespace
 
+MergeSweepResult merge_sweep(PlacementState& state) {
+  MergeSweepResult result;
+  const std::vector<int> procs = state.live_processors();
+  for (std::size_t i = 0; i < procs.size(); ++i) {
+    for (std::size_t j = i + 1; j < procs.size(); ++j) {
+      const int a = procs[i], b = procs[j];
+      if (!state.is_live(a) || !state.is_live(b)) continue;
+      const auto merged = projected_merged_cost(state, a, b);
+      if (!merged) continue;
+      const Dollars pair_cost = projected_processor_cost(state, a) +
+                                projected_processor_cost(state, b);
+      if (*merged >= pair_cost - 1e-9) continue;
+      // Prefer moving the lighter processor.
+      const int from =
+          state.ops_on(a).size() <= state.ops_on(b).size() ? a : b;
+      const int to = from == a ? b : a;
+      const int moved_fwd = static_cast<int>(state.ops_on(from).size());
+      const int moved_rev = static_cast<int>(state.ops_on(to).size());
+      if (state.try_place(state.ops_on(from), to)) {
+        ++result.merges;
+        result.ops_moved += moved_fwd;
+      } else if (state.try_place(state.ops_on(to), from)) {
+        ++result.merges;
+        result.ops_moved += moved_rev;
+      }
+    }
+  }
+  return result;
+}
+
 Dollars projected_downgraded_cost(const PlacementState& state) {
   Dollars total = 0.0;
   for (int pid : state.live_processors()) {
@@ -107,16 +120,15 @@ Dollars projected_downgraded_cost(const PlacementState& state) {
   return total;
 }
 
-LocalSearchStats refine_placement(PlacementState& state,
-                                  const LocalSearchOptions& options) {
+LocalSearchStats refine_placement(PlacementState& state) {
   LocalSearchStats stats;
   stats.projected_cost_before = projected_downgraded_cost(state);
-  for (int pass = 0; pass < options.max_passes; ++pass) {
+  for (int pass = 0; pass < kMaxPasses; ++pass) {
     ++stats.passes;
-    bool improved = false;
-    if (options.enable_merges) improved |= merge_pass(state, stats);
-    if (options.enable_relocations) improved |= relocation_pass(state, stats);
-    if (!improved) break;
+    const int merges = merge_sweep(state).merges;
+    stats.merges += merges;
+    const bool relocated = relocation_pass(state, stats);
+    if (merges == 0 && !relocated) break;
   }
   stats.projected_cost_after = projected_downgraded_cost(state);
   INSP_DEBUG << "local search: " << stats.merges << " merges, "

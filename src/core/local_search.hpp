@@ -5,26 +5,19 @@
 // cheapest catalog configuration meeting each processor's current CPU and
 // NIC load (exactly what the downgrade phase will charge).
 //
-// Two move types, applied in passes until a fixpoint or the pass limit:
+// Two move types, applied in passes until a fixpoint or a fixed pass limit:
 //   - merge: move one processor's whole content onto another and sell it,
-//     when the merged cheapest-meeting config costs less than the pair;
+//     when the merged cheapest-meeting config costs less than the pair
+//     (merge_sweep — also the dynamic repair engine's consolidation pass);
 //   - relocate: move a single operator to another processor when that
 //     lowers the projected total.
 // Every move goes through try_place, so feasibility (1)-(5 realized) is
 // preserved by construction.
 #pragma once
 
-#include <optional>
-
 #include "core/placement_state.hpp"
 
 namespace insp {
-
-struct LocalSearchOptions {
-  int max_passes = 8;
-  bool enable_merges = true;
-  bool enable_relocations = true;
-};
 
 struct LocalSearchStats {
   int merges = 0;
@@ -38,19 +31,19 @@ struct LocalSearchStats {
 /// cheapest-meeting configs; the current configs are upper bounds).
 Dollars projected_downgraded_cost(const PlacementState& state);
 
-/// Projected post-downgrade cost of one live processor (cheapest catalog
-/// configuration meeting its current loads; its current — always
-/// sufficient — configuration is the fallback).
-Dollars projected_processor_cost(const PlacementState& state, int pid);
+struct MergeSweepResult {
+  int merges = 0;     ///< processors emptied and sold
+  int ops_moved = 0;  ///< operators moved by those merges
+};
 
-/// Projected cost of processors `a` and `b` merged onto one (analytic: no
-/// state mutation; shared downloads counted once, mutual traffic freed).
-/// nullopt when no catalog model could host the merge.  Shared with the
-/// dynamic repair engine's consolidation pass (src/dynamic/).
-std::optional<Dollars> projected_merged_cost(const PlacementState& state,
-                                             int a, int b);
+/// One merge sweep over the live processors, pairwise in live order: each
+/// pair whose projected merged cost (shared downloads counted once, mutual
+/// traffic freed) beats the pair's projected costs by more than 1e-9 moves
+/// the lighter processor's operators onto the other (or, failing that, the
+/// reverse).  Shared by refine_placement and the dynamic repair
+/// engine's consolidation (src/dynamic/).
+MergeSweepResult merge_sweep(PlacementState& state);
 
-LocalSearchStats refine_placement(PlacementState& state,
-                                  const LocalSearchOptions& options = {});
+LocalSearchStats refine_placement(PlacementState& state);
 
 } // namespace insp

@@ -208,27 +208,11 @@ void PlacementState::assign_op(int op, int pid) {
     proc(q).comm += volume;
     pp_links_.add(pid, q, volume);
   };
-  // Producer side: op starts shipping its output — once per distinct
-  // destination processor, at the max delta into it (first-occurrence scan;
-  // out-degrees are tiny, so O(deg^2) beats any allocation).
-  const auto& out = tree.op(op).out;
-  for (std::size_t a = 0; a < out.size(); ++a) {
-    const int q = proc_of(out[a].dst);
-    if (q == kNoNode || q == pid) continue;
-    bool first = true;
-    for (std::size_t b = 0; b < a; ++b) {
-      if (proc_of(out[b].dst) == q) {
-        first = false;
-        break;
-      }
-    }
-    if (!first) continue;
-    MegaBytes mx = out[a].delta;
-    for (std::size_t b = a + 1; b < out.size(); ++b) {
-      if (proc_of(out[b].dst) == q) mx = std::max(mx, out[b].delta);
-    }
+  const auto proc_of_op = [this](int o) { return proc_of(o); };
+  // Producer side: op starts shipping its output under the multicast rule.
+  tree.visit_shipments(op, pid, proc_of_op, [&](int q, MegaBytes mx) {
     charge(q, problem_.rho * mx);
-  }
+  });
   // Consumer side: each distinct assigned child now (also) ships to pid;
   // its charge toward pid moves from the pre-assignment max to the new max.
   const auto& ch = tree.op(op).children;
@@ -270,24 +254,10 @@ void PlacementState::unassign_op(int op) {
     pp_links_.remove(pid, q, volume);
   };
   // Producer side: op stops shipping — remove the full deduped charge.
-  const auto& out = tree.op(op).out;
-  for (std::size_t a = 0; a < out.size(); ++a) {
-    const int q = proc_of(out[a].dst);
-    if (q == kNoNode || q == pid) continue;
-    bool first = true;
-    for (std::size_t b = 0; b < a; ++b) {
-      if (proc_of(out[b].dst) == q) {
-        first = false;
-        break;
-      }
-    }
-    if (!first) continue;
-    MegaBytes mx = out[a].delta;
-    for (std::size_t b = a + 1; b < out.size(); ++b) {
-      if (proc_of(out[b].dst) == q) mx = std::max(mx, out[b].delta);
-    }
+  const auto proc_of_op = [this](int o) { return proc_of(o); };
+  tree.visit_shipments(op, pid, proc_of_op, [&](int q, MegaBytes mx) {
     discharge(q, problem_.rho * mx);
-  }
+  });
   // Consumer side: each distinct assigned child drops from the current max
   // toward pid to the max without op (op is still in op_to_proc_ here).
   const auto& ch = tree.op(op).children;
@@ -531,6 +501,9 @@ void PlacementState::footprint_from_baseline() {
     }
     fp_.ext_vol[static_cast<std::size_t>(slot)] += volume;
   };
+  const auto outside_group = [this](int o) {
+    return lift_pos_[static_cast<std::size_t>(o)] != 0 ? kNoNode : proc_of(o);
+  };
   // Replays the sequential probe's member-by-member charging (docs/DESIGN.md
   // §10, §13) against a fresh processor hosting the whole group, so the
   // accumulation order — and thus every FP sum — matches the sequential
@@ -545,35 +518,14 @@ void PlacementState::footprint_from_baseline() {
         fp_.download += tree.catalog().type(t).rate();
       }
     });
-    // Producer side: m ships once per distinct external destination
-    // processor, at the max out-edge delta into it.  Out-edges to group
-    // members are co-located on the candidate: free, like the sequential
-    // assign (their proc is kNoNode under the open baseline anyway).
-    const auto& out = tree.op(m).out;
-    for (std::size_t a = 0; a < out.size(); ++a) {
-      if (lift_pos_[static_cast<std::size_t>(out[a].dst)] != 0) continue;
-      const int q = proc_of(out[a].dst);
-      if (q == kNoNode) continue;
-      bool first = true;
-      for (std::size_t b = 0; b < a; ++b) {
-        const int dst = out[b].dst;
-        if (lift_pos_[static_cast<std::size_t>(dst)] == 0 &&
-            proc_of(dst) == q) {
-          first = false;
-          break;
-        }
-      }
-      if (!first) continue;
-      MegaBytes mx = out[a].delta;
-      for (std::size_t b = a + 1; b < out.size(); ++b) {
-        const int dst = out[b].dst;
-        if (lift_pos_[static_cast<std::size_t>(dst)] == 0 &&
-            proc_of(dst) == q) {
-          mx = std::max(mx, out[b].delta);
-        }
-      }
+    // Producer side: m ships to each distinct external destination
+    // processor under the multicast rule.  Out-edges to group members are
+    // co-located on the candidate: free, like the sequential assign — the
+    // mask maps members to kNoNode (their proc is kNoNode under the open
+    // baseline anyway).
+    tree.visit_shipments(m, kNoNode, outside_group, [&](int q, MegaBytes mx) {
       slot_add(q, problem_.rho * mx);
-    }
+    });
     // Consumer side: each distinct external assigned child ships to the
     // candidate; its charge steps from the max over *earlier* group
     // consumers to the max including m — summed over members this telescopes
@@ -683,18 +635,8 @@ void PlacementState::refresh_op_demand(int op, MegaOps old_work,
   if (pid == kNoNode) return;
   const MBps dv = problem_.rho * (node.output_mb - old_output_mb);
   if (dv == 0.0) return;
-  const auto& out = node.out;
-  for (std::size_t a = 0; a < out.size(); ++a) {
-    const int q = proc_of(out[a].dst);
-    if (q == kNoNode || q == pid) continue;
-    bool first = true;
-    for (std::size_t b = 0; b < a; ++b) {
-      if (proc_of(out[b].dst) == q) {
-        first = false;
-        break;
-      }
-    }
-    if (!first) continue;
+  const auto proc_of_op = [this](int o) { return proc_of(o); };
+  problem_.tree->visit_shipments(op, pid, proc_of_op, [&](int q, MegaBytes) {
     proc(pid).comm += dv;
     proc(q).comm += dv;
     if (dv > 0.0) {
@@ -702,7 +644,7 @@ void PlacementState::refresh_op_demand(int op, MegaOps old_work,
     } else {
       pp_links_.remove(pid, q, -dv);
     }
-  }
+  });
 }
 
 void PlacementState::refresh_object_rate(int type, MBps old_rate) {

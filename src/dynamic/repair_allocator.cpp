@@ -312,33 +312,12 @@ bool DynamicAllocator::repair_violations(RepairReport& report) {
 }
 
 void DynamicAllocator::consolidate(RepairReport& report) {
-  // Merge pass (one sweep): fold processor pairs whose merged
-  // cheapest-meeting configuration beats the pair — this is how capacity
-  // released by a rho decrease or a departure turns back into dollars.
-  const std::vector<int> procs = state_->live_processors();
-  for (std::size_t i = 0; i < procs.size(); ++i) {
-    for (std::size_t j = i + 1; j < procs.size(); ++j) {
-      const int a = procs[i], b = procs[j];
-      if (!state_->is_live(a) || !state_->is_live(b)) continue;
-      const auto merged = projected_merged_cost(*state_, a, b);
-      if (!merged) continue;
-      const Dollars pair_cost = projected_processor_cost(*state_, a) +
-                                projected_processor_cost(*state_, b);
-      if (*merged >= pair_cost - 1e-9) continue;
-      const int from =
-          state_->ops_on(a).size() <= state_->ops_on(b).size() ? a : b;
-      const int to = from == a ? b : a;
-      const int moved_fwd = static_cast<int>(state_->ops_on(from).size());
-      const int moved_rev = static_cast<int>(state_->ops_on(to).size());
-      if (state_->try_place(state_->ops_on(from), to)) {
-        report.ops_moved += moved_fwd;
-        ++report.procs_retired;
-      } else if (state_->try_place(state_->ops_on(to), from)) {
-        report.ops_moved += moved_rev;
-        ++report.procs_retired;
-      }
-    }
-  }
+  // Merge sweep: fold processor pairs whose merged cheapest-meeting
+  // configuration beats the pair — this is how capacity released by a rho
+  // decrease or a departure turns back into dollars.
+  const MergeSweepResult merged = merge_sweep(*state_);
+  report.ops_moved += merged.ops_moved;
+  report.procs_retired += merged.merges;
   // Re-pricing pass: the downgrade step, applied in place to the live
   // state (strictly cheaper configurations only).
   for (int pid : state_->live_processors()) {

@@ -15,9 +15,9 @@
 //     incremental first-fit;
 //   - server failure/recovery re-routes downloads (server selection) without
 //     touching the placement;
-//   - after every event a consolidation pass (local-search merges + the
-//     downgrade-equivalent cheapest-meeting re-pricing) recovers cost headroom
-//     the event released.
+//   - after every event a consolidation pass (the local-search merge_sweep +
+//     the downgrade-equivalent cheapest-meeting re-pricing) recovers cost
+//     headroom the event released.
 //
 // When targeted repair cannot restore feasibility the engine falls back to a
 // full from-scratch re-allocation.  Every event returns a RepairReport with
@@ -153,7 +153,8 @@ class DynamicAllocator {
   bool place_unassigned(RepairReport& report);
   /// Drains overloaded processors/links with reconfigure+evict+buy moves.
   bool repair_violations(RepairReport& report);
-  /// Merge pass + cheapest-meeting re-pricing on the feasible state.
+  /// merge_sweep (core/local_search.hpp) + cheapest-meeting re-pricing on
+  /// the feasible state.
   void consolidate(RepairReport& report);
   /// Full from-scratch re-allocation of the current problem.
   bool fallback_scratch(RepairReport& report);

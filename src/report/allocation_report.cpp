@@ -102,24 +102,14 @@ std::string utilization_table(const Problem& problem,
         << loads[u].nic_total() << " / " << cat.bandwidth(cfg) << " MB/s)\n";
   }
 
-  std::vector<MBps> server_load(static_cast<std::size_t>(plat.num_servers()),
-                                0.0);
-  std::map<std::pair<int, int>, MBps> sp_links;
-  for (std::size_t u = 0; u < alloc.processors.size(); ++u) {
-    for (const auto& dl : alloc.processors[u].downloads) {
-      const MBps r = problem.tree->catalog().type(dl.object_type).rate();
-      server_load[static_cast<std::size_t>(dl.server)] += r;
-      sp_links[{dl.server, static_cast<int>(u)}] += r;
-    }
-  }
+  const LinkLoads links = compute_link_loads(problem, alloc);
   for (int l = 0; l < plat.num_servers(); ++l) {
-    out << "S" << l << " card     "
-        << pct(server_load[static_cast<std::size_t>(l)],
-               plat.server(l).card_bandwidth)
-        << "   (" << server_load[static_cast<std::size_t>(l)] << " / "
-        << plat.server(l).card_bandwidth << " MB/s)\n";
+    const MBps load = links.server_card[static_cast<std::size_t>(l)];
+    out << "S" << l << " card     " << pct(load, plat.server(l).card_bandwidth)
+        << "   (" << load << " / " << plat.server(l).card_bandwidth
+        << " MB/s)\n";
   }
-  for (const auto& [key, load] : sp_links) {
+  for (const auto& [key, load] : links.server_proc) {
     out << "link S" << key.first << "->P" << key.second << "  "
         << pct(load, plat.link_server_proc()) << "   (" << load << " / "
         << plat.link_server_proc() << " MB/s)\n";

@@ -162,34 +162,19 @@ SimStaticPlan build_sim_plan(const Problem& problem, const Allocation& alloc,
     }
   }
 
-  // Crossing lanes: one per (producer, distinct destination processor) in
-  // producer order then first-occurrence destination order, carrying the max
-  // out-edge delta into that processor (multicast dedup, docs/DESIGN.md
-  // §13) — on trees exactly the crossing child->parent edges, as before.
+  // Crossing lanes: one per shipment of the multicast rule
+  // (OperatorTree::visit_shipments), in producer order then first-occurrence
+  // destination order — on trees exactly the crossing child->parent edges.
   std::vector<std::pair<int, int>> pairs;
+  const auto proc_of = [&](int op) {
+    return plan.proc[static_cast<std::size_t>(op)];
+  };
   auto each_crossing_lane = [&](auto&& fn) {
     for (int op = 0; op < plan.n_ops; ++op) {
-      const auto& out = tree.op(op).out;
-      const int u = plan.proc[static_cast<std::size_t>(op)];
-      for (std::size_t a = 0; a < out.size(); ++a) {
-        const int v = plan.proc[static_cast<std::size_t>(out[a].dst)];
-        if (v == u) continue;
-        bool first = true;
-        for (std::size_t b = 0; b < a; ++b) {
-          if (plan.proc[static_cast<std::size_t>(out[b].dst)] == v) {
-            first = false;
-            break;
-          }
-        }
-        if (!first) continue;
-        MegaBytes mx = out[a].delta;
-        for (std::size_t b = a + 1; b < out.size(); ++b) {
-          if (plan.proc[static_cast<std::size_t>(out[b].dst)] == v) {
-            mx = std::max(mx, out[b].delta);
-          }
-        }
+      const int u = proc_of(op);
+      tree.visit_shipments(op, u, proc_of, [&](int v, MegaBytes mx) {
         fn(op, u, v, mx);
-      }
+      });
     }
   };
   each_crossing_lane([&](int /*op*/, int u, int v, MegaBytes /*mx*/) {

@@ -1,7 +1,6 @@
 #include "sim/flow_analyzer.hpp"
 
 #include <limits>
-#include <map>
 #include <sstream>
 
 namespace insp {
@@ -32,14 +31,13 @@ struct Constraint {
 } // namespace
 
 FlowAnalysis analyze_flow(const Problem& problem, const Allocation& alloc) {
-  const OperatorTree& tree = *problem.tree;
   const Platform& plat = *problem.platform;
   const PriceCatalog& cat = *problem.catalog;
 
   std::vector<Constraint> constraints;
 
-  // Per-processor CPU and NIC.  compute_processor_loads folds rho into its
-  // outputs, so divide it back out to recover the linear coefficients.
+  // compute_processor_loads and compute_link_loads fold rho into their
+  // outputs; evaluating them at unit rho yields the linear coefficients.
   Problem at_unit_rho = problem;
   at_unit_rho.rho = 1.0;
   const auto loads = compute_processor_loads(at_unit_rho, alloc);
@@ -64,74 +62,35 @@ FlowAnalysis analyze_flow(const Problem& problem, const Allocation& alloc) {
     }
   }
 
-  // Server cards and server->processor links: download-only (fixed share).
-  {
-    std::vector<MBps> card(static_cast<std::size_t>(plat.num_servers()), 0.0);
-    std::map<std::pair<int, int>, MBps> link;
-    for (std::size_t u = 0; u < alloc.processors.size(); ++u) {
-      for (const auto& dl : alloc.processors[u].downloads) {
-        const MBps r = tree.catalog().type(dl.object_type).rate();
-        card[static_cast<std::size_t>(dl.server)] += r;
-        link[{dl.server, static_cast<int>(u)}] += r;
-      }
-    }
-    for (int l = 0; l < plat.num_servers(); ++l) {
-      Constraint c;
-      c.fixed = card[static_cast<std::size_t>(l)];
-      c.capacity = plat.server(l).card_bandwidth;
-      c.kind = BottleneckKind::ServerCard;
-      c.detail = "S" + std::to_string(l) + " card";
-      constraints.push_back(std::move(c));
-    }
-    for (const auto& [key, load] : link) {
-      Constraint c;
-      c.fixed = load;
-      c.capacity = plat.link_server_proc();
-      c.kind = BottleneckKind::ServerProcLink;
-      c.detail = "link S" + std::to_string(key.first) + "->P" +
-                 std::to_string(key.second);
-      constraints.push_back(std::move(c));
-    }
+  // Server cards and server->processor links are download-only (fixed
+  // share); processor<->processor links are linear in rho, so at unit rho
+  // their loads are the coefficients.
+  const LinkLoads links = compute_link_loads(at_unit_rho, alloc);
+  for (int l = 0; l < plat.num_servers(); ++l) {
+    Constraint c;
+    c.fixed = links.server_card[static_cast<std::size_t>(l)];
+    c.capacity = plat.server(l).card_bandwidth;
+    c.kind = BottleneckKind::ServerCard;
+    c.detail = "S" + std::to_string(l) + " card";
+    constraints.push_back(std::move(c));
   }
-
-  // Processor<->processor links: linear in rho.
-  {
-    // One shipment per (producer, distinct destination processor) at the max
-    // out-edge delta (multicast dedup, docs/DESIGN.md §13) — the lone
-    // child->parent edge on trees.
-    std::map<std::pair<int, int>, MegaBytes> link;
-    for (const auto& n : tree.operators()) {
-      const int uc = alloc.op_to_proc[static_cast<std::size_t>(n.id)];
-      if (uc == kNoNode) continue;
-      for (std::size_t a = 0; a < n.out.size(); ++a) {
-        const int up = alloc.op_to_proc[static_cast<std::size_t>(n.out[a].dst)];
-        if (up == kNoNode || up == uc) continue;
-        bool first = true;
-        for (std::size_t b = 0; b < a; ++b) {
-          if (alloc.op_to_proc[static_cast<std::size_t>(n.out[b].dst)] == up) {
-            first = false;
-            break;
-          }
-        }
-        if (!first) continue;
-        MegaBytes mx = n.out[a].delta;
-        for (std::size_t b = a + 1; b < n.out.size(); ++b) {
-          if (alloc.op_to_proc[static_cast<std::size_t>(n.out[b].dst)] == up) {
-            mx = std::max(mx, n.out[b].delta);
-          }
-        }
-        link[{std::min(uc, up), std::max(uc, up)}] += mx;
-      }
-    }
-    for (const auto& [key, volume] : link) {
-      Constraint c;
-      c.linear = volume;
-      c.capacity = plat.link_proc_proc();
-      c.kind = BottleneckKind::ProcProcLink;
-      c.detail = "link P" + std::to_string(key.first) + "<->P" +
-                 std::to_string(key.second);
-      constraints.push_back(std::move(c));
-    }
+  for (const auto& [key, load] : links.server_proc) {
+    Constraint c;
+    c.fixed = load;
+    c.capacity = plat.link_server_proc();
+    c.kind = BottleneckKind::ServerProcLink;
+    c.detail = "link S" + std::to_string(key.first) + "->P" +
+               std::to_string(key.second);
+    constraints.push_back(std::move(c));
+  }
+  for (const auto& [key, volume] : links.proc_proc) {
+    Constraint c;
+    c.linear = volume;
+    c.capacity = plat.link_proc_proc();
+    c.kind = BottleneckKind::ProcProcLink;
+    c.detail = "link P" + std::to_string(key.first) + "<->P" +
+               std::to_string(key.second);
+    constraints.push_back(std::move(c));
   }
 
   FlowAnalysis out;

@@ -42,12 +42,6 @@ void SimPlatformView::set_link_bandwidth(int proc_u, int proc_v, MBps bw) {
   }
 }
 
-void SimPlatformView::scale_links(double factor) {
-  assert(factor > 0.0);
-  default_link_pp_ *= factor;
-  for (auto& entry : link_overrides_) entry.second *= factor;
-}
-
 MBps SimPlatformView::link_bandwidth(int proc_u, int proc_v) const {
   const std::pair<int, int> key{std::min(proc_u, proc_v),
                                 std::max(proc_u, proc_v)};

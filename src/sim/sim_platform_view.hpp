@@ -57,11 +57,6 @@ class SimPlatformView {
   /// Pair bandwidth: the override if one was set, else the uniform default.
   MBps link_bandwidth(int proc_u, int proc_v) const;
 
-  /// Brownout view: scales the uniform default and every per-pair override
-  /// by `factor` (factor < 1 slows the interconnect, e.g. a congested
-  /// fabric during a slow-node brownout).  Requires factor > 0.
-  void scale_links(double factor);
-
  private:
   MBps default_link_pp_ = 0.0;
   std::vector<char> server_up_;  ///< empty slot/short vector == up

@@ -11,6 +11,7 @@
 // bit-identical in that case.
 #pragma once
 
+#include <algorithm>
 #include <optional>
 #include <string>
 #include <vector>
@@ -129,6 +130,35 @@ class OperatorDag {
         }
       }
       if (!seen) fn(t);
+    }
+  }
+
+  /// The multicast charging rule (docs/DESIGN.md §13), defined once: op i
+  /// ships its result once per distinct destination processor, sized by
+  /// the largest out-edge delta into it.  Calls fn(q, max_delta) for each
+  /// destination q = proc_of(dst), in first-occurrence order, skipping
+  /// q == kNoNode (unassigned or masked consumers) and q == from
+  /// (co-located ones).  On trees this is the lone child->parent edge.
+  /// Allocation-free for the same reason as visit_object_types.
+  template <typename ProcOf, typename Fn>
+  void visit_shipments(int i, int from, ProcOf&& proc_of, Fn&& fn) const {
+    const auto& out = op(i).out;
+    for (std::size_t a = 0; a < out.size(); ++a) {
+      const int q = proc_of(out[a].dst);
+      if (q == kNoNode || q == from) continue;
+      bool seen = false;
+      for (std::size_t b = 0; b < a; ++b) {
+        if (proc_of(out[b].dst) == q) {
+          seen = true;
+          break;
+        }
+      }
+      if (seen) continue;
+      MegaBytes mx = out[a].delta;
+      for (std::size_t b = a + 1; b < out.size(); ++b) {
+        if (proc_of(out[b].dst) == q) mx = std::max(mx, out[b].delta);
+      }
+      fn(q, mx);
     }
   }
 

@@ -160,6 +160,17 @@ TEST(Constraints, DetectsMissingDownloadRoute) {
   EXPECT_EQ(r.violations.front().kind, ViolationKind::DownloadRouting);
 }
 
+TEST(Constraints, DetectsUnknownDownloadType) {
+  // A route naming a type outside the catalog is a routing violation; the
+  // link and card sums must skip it rather than look its rate up.
+  const Fixture f = fig1a_fixture();
+  Allocation a = one_proc_allocation(f, f.catalog.most_expensive());
+  a.processors[0].downloads.push_back({f.tree.catalog().count(), 0});
+  const CheckReport r = check_allocation(f.problem(), a);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.violations.front().kind, ViolationKind::DownloadRouting);
+}
+
 TEST(Constraints, DetectsDuplicateDownloadRoute) {
   const Fixture f = fig1a_fixture();
   Allocation a = one_proc_allocation(f, f.catalog.most_expensive());

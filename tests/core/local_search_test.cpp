@@ -59,29 +59,17 @@ TEST(LocalSearch, NeverIncreasesProjectedCost) {
   }
 }
 
-TEST(LocalSearch, RespectsPassLimit) {
-  const Fixture f = testhelpers::random_fixture(2, 40, 0.9);
-  PlacementState state(f.problem());
-  Rng rng(1);
-  ASSERT_TRUE(place_random(state, rng).success);
-  LocalSearchOptions opts;
-  opts.max_passes = 1;
-  const LocalSearchStats stats = refine_placement(state, opts);
-  EXPECT_EQ(stats.passes, 1);
-}
-
-TEST(LocalSearch, DisabledMovesDoNothing) {
+TEST(LocalSearch, MergeSweepReportsMergesAndMovedOperators) {
   const Fixture f = fig1a_fixture(1.0, 10.0);
   PlacementState state(f.problem());
   Rng rng(11);
   ASSERT_TRUE(place_random(state, rng).success);
-  LocalSearchOptions opts;
-  opts.enable_merges = false;
-  opts.enable_relocations = false;
-  const LocalSearchStats stats = refine_placement(state, opts);
-  EXPECT_EQ(stats.merges, 0);
-  EXPECT_EQ(stats.relocations, 0);
-  EXPECT_EQ(state.num_live_processors(), 5);
+  const int before = state.num_live_processors();
+  const MergeSweepResult r = merge_sweep(state);
+  EXPECT_GT(r.merges, 0);
+  EXPECT_GE(r.ops_moved, r.merges);
+  EXPECT_EQ(state.num_live_processors(), before - r.merges);
+  EXPECT_TRUE(state.feasible());
 }
 
 TEST(LocalSearch, PipelineFlagProducesValidCheaperOrEqualPlans) {

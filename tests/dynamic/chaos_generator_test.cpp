@@ -79,7 +79,9 @@ TEST(ChaosGenerator, FloorsAndWholeBeatSchedulingHoldAcrossSeeds) {
       }
       EXPECT_GE(f.down_s, (cfg.timeout_beats + 2) * interval);
       EXPECT_GE(f.flaps, 1);
-      if (f.cls != ChaosClass::Flapping) EXPECT_EQ(f.flaps, 1);
+      if (f.cls != ChaosClass::Flapping) {
+        EXPECT_EQ(f.flaps, 1);
+      }
       if (f.flaps > 1) {
         EXPECT_GE(f.up_gap_s, (cfg.recovery_beats + 2) * interval);
       }
