@@ -9,33 +9,57 @@ namespace insp {
 
 namespace {
 
-/// Grow processor `pid` to a fixpoint: pull the parents of its operators in
-/// (from other processors or unassigned), and absorb whole child processors
-/// ("merge the operators with their father on a single machine ... possibly
-/// returning some processors").  Every successful step strictly increases
-/// the operator count on `pid`, so the loop terminates.
-void grow_to_fixpoint(PlacementState& state, int pid) {
+/// Grow processor `pid` to a fixpoint: pull the consumers of its operators
+/// in (from other processors or unassigned), and absorb whole child
+/// processors ("merge the operators with their father on a single machine
+/// ... possibly returning some processors").
+///
+/// Worklist form of a round-based rescan of ops_on(pid).  Nothing ever
+/// leaves `pid`, so an operator whose steps all succeeded (or were skipped:
+/// an unassigned child can later only join `pid`) stays done, and
+/// revisiting it is a no-op.  A round therefore visits only the operators
+/// whose steps failed last round, then the ones that joined during it, both
+/// in join order (ops_on(pid) only grows by appending) — the order a full
+/// rescan visits them in, so every probe is the rescan's.  Each successful
+/// step adds operators to `pid`; a round without one ends the growth.
+void grow_to_fixpoint(PlacementState& state, int pid, std::vector<int>& round,
+                      std::vector<int>& retry) {
   const OperatorTree& tree = *state.problem().tree;
-  bool changed = true;
-  while (changed && state.is_live(pid)) {
-    changed = false;
-    const std::vector<int> snapshot = state.ops_on(pid);
-    for (int op : snapshot) {
+  round.assign(state.ops_on(pid).begin(), state.ops_on(pid).end());
+  for (;;) {
+    const std::size_t seated = state.ops_on(pid).size();
+    bool changed = false;
+    retry.clear();
+    for (int op : round) {
+      bool failed = false;
       // Pull every consumer next to its child (the single parent on trees;
       // each sharing parent on a DAG — co-locating all of them makes the
       // shared shipment free).
       for (const OutEdge& e : tree.op(op).out) {
-        if (state.proc_of(e.dst) != pid) {
-          if (state.try_place({e.dst}, pid)) changed = true;
+        if (state.proc_of(e.dst) == pid) continue;
+        if (state.try_place(e.dst, pid)) {
+          changed = true;
+        } else {
+          failed = true;
         }
       }
       // Absorb whole child processors (subtree consolidation).
       for (int c : tree.op(op).children) {
         const int pc = state.proc_of(c);
         if (pc == kNoNode || pc == pid) continue;
-        if (state.try_place(state.ops_on(pc), pid)) changed = true;
+        if (state.try_absorb(pc, pid)) {
+          changed = true;
+        } else {
+          failed = true;
+        }
       }
+      if (failed) retry.push_back(op);
     }
+    if (!changed) return;
+    const auto& ops = state.ops_on(pid);
+    round.swap(retry);
+    round.insert(round.end(),
+                 ops.begin() + static_cast<std::ptrdiff_t>(seated), ops.end());
   }
 }
 
@@ -100,22 +124,26 @@ PlacementOutcome place_subtree_bottom_up(PlacementState& state, Rng& /*rng*/) {
   }
 
   // Phase 2: bottom-up merging.  Process the al processors deepest-first
-  // (their subtrees close first) and let each grow to a fixpoint.
-  std::sort(al_procs.begin(), al_procs.end(), [&](int a, int b) {
-    auto proc_depth = [&](int pid) {
-      if (!state.is_live(pid)) return -1;
-      int d = 0;
+  // (their subtrees close first; ties by id) and let each grow to a
+  // fixpoint.  A processor's depth is its deepest operator's (-1 once sold),
+  // computed once up front; sorting (-depth, pid) pairs gives that order.
+  std::vector<std::pair<int, int>> order;
+  order.reserve(al_procs.size());
+  for (int pid : al_procs) {
+    int d = -1;
+    if (state.is_live(pid)) {
+      d = 0;
       for (int op : state.ops_on(pid)) {
         d = std::max(d, depths[static_cast<std::size_t>(op)]);
       }
-      return d;
-    };
-    const int da = proc_depth(a), db = proc_depth(b);
-    if (da != db) return da > db;
-    return a < b;
-  });
-  for (int pid : al_procs) {
-    if (state.is_live(pid)) grow_to_fixpoint(state, pid);
+    }
+    order.emplace_back(-d, pid);
+  }
+  std::sort(order.begin(), order.end());
+  std::vector<int> round, retry;
+  for (const auto& entry : order) {
+    const int pid = entry.second;
+    if (state.is_live(pid)) grow_to_fixpoint(state, pid, round, retry);
   }
 
   // Phase 3: any operator the merging could not seat (its pulls failed on

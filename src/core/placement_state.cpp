@@ -310,8 +310,8 @@ bool PlacementState::feasible() const {
   return pp_links_.all_within();
 }
 
-bool PlacementState::probe(const int* ops, std::size_t n, int pid,
-                           bool commit, bool relaxed) {
+bool PlacementState::stage_move(const int* ops, std::size_t n, int pid,
+                                bool relaxed) {
   // `ops` routinely aliases ops_on() of a processor the move empties, and
   // assign/unassign reshuffle those vectors — copy into reusable scratch.
   scratch_ops_.assign(ops, ops + n);
@@ -330,6 +330,12 @@ bool PlacementState::probe(const int* ops, std::size_t n, int pid,
     rollback_txn();
     return false;
   }
+  return true;
+}
+
+bool PlacementState::probe(const int* ops, std::size_t n, int pid,
+                           bool commit, bool relaxed) {
+  if (!stage_move(ops, n, pid, relaxed)) return false;
   if (!commit) {
     rollback_txn();
     return true;
@@ -384,6 +390,37 @@ bool PlacementState::can_place_relaxed(const std::vector<int>& ops, int pid) {
 
 bool PlacementState::can_place_relaxed(int op, int pid) {
   return probe(&op, 1, pid, /*commit=*/false, /*relaxed=*/true);
+}
+
+bool PlacementState::try_absorb(int from, int into) {
+  assert(is_live(from) && is_live(into) && from != into);
+  ProcState& f = proc(from);
+  ProcState& t = proc(into);
+  if (f.ops.size() <= t.ops.size() || !(f.cfg == t.cfg)) {
+    return try_place(f.ops, into);
+  }
+  // The cheaper direction: move into's smaller content onto `from` under the
+  // usual probe, then exchange the two slots so the union carries into's
+  // label.  Same configuration, same union: the verdict is the forward one
+  // (up to summation order), and a failure rolls back before any swap.
+  const std::size_t n_from = f.ops.size();
+  if (!stage_move(t.ops.data(), t.ops.size(), from, /*relaxed=*/false)) {
+    return false;
+  }
+  commit_txn();
+  std::swap(f.ops, t.ops);
+  std::swap(f.work, t.work);
+  std::swap(f.type_count, t.type_count);
+  std::swap(f.download, t.download);
+  std::swap(f.comm, t.comm);
+  // The move appended into's operators after from's; the forward move
+  // appends from's after into's.
+  std::rotate(t.ops.begin(), t.ops.begin() + static_cast<std::ptrdiff_t>(n_from),
+              t.ops.end());
+  for (int op : t.ops) op_to_proc_[static_cast<std::size_t>(op)] = into;
+  pp_links_.rename_endpoint(from, into);
+  sell(from);
+  return true;
 }
 
 // --- group lift and fresh-processor verdicts (docs/DESIGN.md §10) ----------

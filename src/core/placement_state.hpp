@@ -22,6 +22,11 @@
 // plus full-state scan this replaces).  Heuristics can probe candidate
 // moves without corrupting the state.  Probes assume the current state is
 // feasible (every committed mutation preserves that invariant).
+//
+// `try_absorb` merges one processor into another with try_place's result
+// but moves the smaller side: when the absorbed processor is the larger one
+// the content flows the other way and the two processor slots swap, so the
+// surviving label is always the target's (docs/DESIGN.md §5).
 #pragma once
 
 #include <cstddef>
@@ -53,9 +58,9 @@ class PlacementState {
   bool is_live(int pid) const;
   const ProcessorConfig& config(int pid) const;
   /// Ids of live processors, ascending (purchase order).  The reference is
-  /// invalidated by buy/sell and by any committed try_place (which may
-  /// auto-sell an emptied source); copy it before mutating the state while
-  /// iterating.
+  /// invalidated by buy/sell and by any committed try_place or try_absorb
+  /// (which may auto-sell an emptied source); copy it before mutating the
+  /// state while iterating.
   const std::vector<int>& live_processors() const { return live_ids_; }
   int num_live_processors() const {
     return static_cast<int>(live_ids_.size());
@@ -82,6 +87,20 @@ class PlacementState {
   /// Single-operator form, allocation-free (no `{op}` temporary vector —
   /// the hot first-fit scans call this thousands of times per repair).
   bool try_place(int op, int pid);
+
+  /// Merges processor `from` into processor `into`: exactly
+  /// try_place(ops_on(from), into) — the union lands on `into` with into's
+  /// label and configuration, ops_on(into) lists into's operators then
+  /// from's, `from` is sold when it held operators, and a failure leaves the
+  /// state bit-identical.  When `from` holds more operators and both share
+  /// a configuration, the work runs the other way (docs/DESIGN.md §5): the
+  /// smaller content moves onto `from` under the usual probe, then the two
+  /// slots swap (loads, op lists, op_to_proc of the union, link endpoints),
+  /// so a merge costs O(smaller side) charging plus O(union + active links)
+  /// integer work.  Loads then differ from the forward move's only in
+  /// floating-point summation order.  Like every strict probe it assumes
+  /// the state is feasible.
+  bool try_absorb(int from, int into);
 
   /// try_place without the commit: reports feasibility only.  Non-const on
   /// purpose: the probe applies the move and rolls it back bit-identically,
@@ -267,6 +286,11 @@ class PlacementState {
   /// snapshots): touched capacities may stay violated if already violated
   /// at snapshot time and the excess did not grow.
   bool touched_no_worse() const;
+  /// Opens a kFull transaction, moves `ops` onto `pid` (collecting the
+  /// source processors in sell_candidates_) and judges the touched set.  A
+  /// false verdict is already rolled back; on true the transaction stays
+  /// open for the caller to commit or roll back.
+  bool stage_move(const int* ops, std::size_t n, int pid, bool relaxed);
   /// Shared body of try_place/can_place and their relaxed variants.  Takes
   /// a raw span so the single-op overloads pass &op without a temporary.
   bool probe(const int* ops, std::size_t n, int pid, bool commit,

@@ -581,6 +581,7 @@ RepairReport DynamicAllocator::apply(const WorkloadEvent& event,
 
   bool ok = true;
   if (opt_.always_fallback) {
+    rep.fallback_reason = "always_fallback";
     ok = fallback_scratch(rep);
     rep.used_fallback = true;
   } else {
@@ -599,6 +600,7 @@ RepairReport DynamicAllocator::apply(const WorkloadEvent& event,
                  << ": targeted repair failed (" << rep.failure_reason
                  << "); falling back to scratch re-allocation";
       rep.used_fallback = true;
+      rep.fallback_reason = rep.failure_reason;
       ok = fallback_scratch(rep);
     }
   }

@@ -79,6 +79,11 @@ struct RepairReport {
   bool already_known = false;
   std::string failure_reason;   ///< set when the event left no valid plan
   bool used_fallback = false;   ///< targeted repair failed or was bypassed
+  /// Why the scratch fallback ran: the targeted repair's failure_reason at
+  /// that moment, or "always_fallback".  A successful fallback clears
+  /// failure_reason, so this is where the reason survives.  Not part of the
+  /// replay signature.
+  std::string fallback_reason;
   int violations_before = 0;    ///< overloaded processors+links post-event
   int ops_moved = 0;            ///< operators whose co-residency group changed
   int procs_bought = 0;

@@ -89,6 +89,20 @@ void LinkLedger::remove(int a, int b, MBps amount) {
   }
 }
 
+void LinkLedger::rename_endpoint(int from, int to) {
+  assert(!in_txn_);
+  assert(from != to);
+  renamed_.clear();
+  std::erase_if(used_, [&](const Entry& e) {
+    const auto [a, b] = e.first;
+    if (a != from && b != from) return false;
+    const int q = a == from ? b : a;
+    if (q != to) renamed_.emplace_back(q, e.second);
+    return true;
+  });
+  for (const auto& [q, v] : renamed_) add(to, q, v);
+}
+
 void LinkLedger::clear() {
   assert(!in_txn_);
   used_.clear();

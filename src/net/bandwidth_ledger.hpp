@@ -52,6 +52,8 @@ class CardLedger {
 /// rollback restores the pre-transaction state bit for bit, and
 /// touched_within() validates only the links the transaction touched — the
 /// delta API the incremental placement probes are built on.
+/// rename_endpoint() relabels one endpoint outside transactions; it is how
+/// a processor slot swap (PlacementState::try_absorb) carries its links.
 class LinkLedger {
  public:
   /// One active link: ((min endpoint, max endpoint), usage).  Storage is a
@@ -74,6 +76,13 @@ class LinkLedger {
   }
   void add(int a, int b, MBps amount);
   void remove(int a, int b, MBps amount);
+  /// Renames endpoint `from` to `to` (the processor slot swap of
+  /// PlacementState::try_absorb, docs/DESIGN.md §5): every link (from, q)
+  /// becomes (to, q), adding onto any usage (to, q) already carries, and the
+  /// (from, to) link itself is dropped.  O(active links), outside
+  /// transactions only; reuses a member buffer, so steady-state renames make
+  /// no heap allocation.
+  void rename_endpoint(int from, int to);
   void clear();
   std::size_t active_links() const { return used_.size(); }
   /// All links with non-zero usage, sorted by key (for whole-state
@@ -116,6 +125,7 @@ class LinkLedger {
 
   MBps capacity_ = 0.0;
   std::vector<Entry> used_;  ///< sorted by key
+  std::vector<std::pair<int, MBps>> renamed_;  ///< rename_endpoint scratch
   bool in_txn_ = false;
   std::vector<JournalEntry> journal_;
 };

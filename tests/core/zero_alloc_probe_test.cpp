@@ -3,8 +3,8 @@
 // the PlacementState group-lift arenas, the journal vectors, the flat link
 // ledger, the repair scratch — further probes, hypothetical-purchase
 // probes, group lift cycles, failed grouping calls, committed move
-// ping-pongs and repair-style first-fit scans must perform ZERO heap
-// allocations.  The test compiles in the global counting operator new
+// ping-pongs, committed absorbs in both directions and repair-style
+// first-fit scans must perform ZERO heap allocations.  The test compiles in the global counting operator new
 // (tests/alloc_counter.hpp) and fails on any non-zero delta, so a
 // reintroduced per-call temporary anywhere under these paths is caught
 // exactly, not statistically.
@@ -206,6 +206,44 @@ TEST(ZeroAllocProbe, CommittedMovePingPongDoesNotAllocate) {
   const long long delta = alloc_delta_over(ping_pong);
   EXPECT_EQ(delta, 0)
       << "committed move ping-pong allocated " << delta << " times";
+}
+
+TEST(ZeroAllocProbe, CommittedAbsorbsDoNotAllocate) {
+  // SBU's merge step in both directions.  Each cycle splits a few operators
+  // off the big processor onto a freshly bought one (setup: a new slot's
+  // vectors allocate), then measures only the absorb: the small side into
+  // the big one (forward), or the big one into the small one (the slots
+  // swap, so the union's buffers travel with it).
+  const Fixture f = random_fixture(17, 24, 1.0);
+  PlacementState state(f.problem());
+  const ProcessorConfig top = f.catalog.by_cost().back();
+  int big = state.buy(top);
+  for (int op = 0; op < f.tree.num_operators(); ++op) {
+    state.try_place(op, big);
+  }
+  ASSERT_GE(state.ops_on(big).size(), 8u);
+  std::vector<int> split;
+  long long measured = 0;
+  const auto cycle = [&](bool swap_direction) {
+    const int fresh = state.buy(top);
+    const auto& on_big = state.ops_on(big);
+    split.assign(on_big.begin(), on_big.begin() + 3);
+    ASSERT_TRUE(state.try_place(split, fresh));
+    ASSERT_GT(state.ops_on(big).size(), state.ops_on(fresh).size());
+    if (swap_direction) {
+      measured += alloc_delta_over(
+          [&] { ASSERT_TRUE(state.try_absorb(big, fresh)); });
+      big = fresh;
+    } else {
+      measured += alloc_delta_over(
+          [&] { ASSERT_TRUE(state.try_absorb(fresh, big)); });
+    }
+  };
+  for (int r = 0; r < 6; ++r) cycle(r % 2 == 0);  // warmup
+  measured = 0;
+  for (int r = 0; r < 20; ++r) cycle(r % 2 == 0);
+  EXPECT_EQ(measured, 0) << "committed absorbs allocated " << measured
+                         << " times";
 }
 
 TEST(ZeroAllocProbe, RepairStyleScanDoesNotAllocate) {

@@ -7,6 +7,10 @@
 #include <map>
 
 #include "bench_support/experiment.hpp"
+#include "bench_support/reporting.hpp"
+#include "core/placement_heuristics.hpp"
+#include "core/placement_state.hpp"
+#include "dynamic/replay_signature.hpp"
 
 namespace insp {
 namespace {
@@ -88,6 +92,79 @@ TEST(RegressionPins, HighAlphaSeed100Feasible) {
   ASSERT_TRUE(out.success) << out.failure_reason;
   EXPECT_NEAR(out.cost, 67636.0, 0.5) << "got " << out.cost;
   EXPECT_EQ(out.num_processors, 4);
+}
+
+TEST(RegressionPins, SubtreeBottomUpPlansSweep) {
+  // allocate(SBU) over paper §5 instances: N in {20, 50, 100, 200, 400} at
+  // alpha 0.9 plus N = 80 at alpha 1.7 (next to the feasibility cliff), 17
+  // seeds each.  The digest covers every success flag and every successful
+  // Allocation in full (configurations, operator lists, download routes,
+  // op_to_proc), so any change to which operators SBU groups, which
+  // configuration it buys or how the pipeline downgrades and routes them
+  // moves it.
+  const std::vector<std::pair<int, double>> classes = {
+      {20, 0.9}, {50, 0.9}, {100, 0.9}, {200, 0.9}, {400, 0.9}, {80, 1.7}};
+  ReplaySignature digest;
+  int successes = 0;
+  for (std::size_t c = 0; c < classes.size(); ++c) {
+    for (int i = 0; i < 17; ++i) {
+      const std::uint64_t seed = 5000 + 100 * c + static_cast<std::uint64_t>(i);
+      const Instance inst =
+          make_instance(seed, pinned_cfg(classes[c].first, classes[c].second));
+      Rng rng(seed);
+      const AllocationOutcome out =
+          allocate(inst.problem(), HeuristicKind::SubtreeBottomUp, rng);
+      digest.mix(out.success ? 1 : 0);
+      if (!out.success) continue;
+      ++successes;
+      digest.mix_allocation(out.allocation);
+    }
+  }
+  EXPECT_EQ(successes, 85);
+  EXPECT_EQ(hex16(digest.h), "29dd2f8b38b9d7b1");
+}
+
+TEST(RegressionPins, SubtreeBottomUpRawPlacementsOnTightInstances) {
+  // SBU's placement itself — live processor ids and every op list in order —
+  // on 3000 small random trees and shared-subexpression DAGs made tight
+  // (objects up to 250 MB, rho up to 3): about a third fail, and merge
+  // steps fail often enough that phase 2's retries change some plans.
+  ReplaySignature digest;
+  int successes = 0;
+  for (int s = 0; s < 3000; ++s) {
+    Rng rng(1000 + static_cast<std::uint64_t>(s));
+    TreeGenConfig cfg;
+    cfg.num_operators = 10 + static_cast<int>(rng.index(60));
+    const double alphas[] = {0.9, 1.1, 1.3, 1.5, 1.7};
+    cfg.alpha = alphas[rng.index(5)];
+    cfg.num_object_types = 15;
+    cfg.object_size_lo = 5.0;
+    const double size_hi[] = {30.0, 60.0, 120.0, 250.0};
+    cfg.object_size_hi = size_hi[rng.index(4)];
+    cfg.download_freq = 0.5;
+    const bool dag = rng.index(3) == 0;
+    const OperatorTree tree = dag ? generate_shared_dag(rng, cfg, 0.3)
+                                  : generate_random_tree(rng, cfg);
+    ServerDistConfig dist;
+    dist.num_servers = 6;
+    dist.num_object_types = 15;
+    const Platform platform = make_paper_platform(rng, dist);
+    const PriceCatalog catalog = PriceCatalog::paper_default();
+    const double rhos[] = {0.5, 1.0, 2.0, 3.0};
+    const Problem problem{&tree, &platform, &catalog, rhos[rng.index(4)]};
+    PlacementState state(problem);
+    Rng placement_rng(1);
+    const bool ok = place_subtree_bottom_up(state, placement_rng).success;
+    digest.mix(ok ? 1 : 0);
+    if (!ok) continue;
+    ++successes;
+    for (int pid : state.live_processors()) {
+      digest.mix(pid);
+      for (int op : state.ops_on(pid)) digest.mix(op);
+    }
+  }
+  EXPECT_EQ(successes, 1894);
+  EXPECT_EQ(hex16(digest.h), "62300d28edb93b0f");
 }
 
 } // namespace

@@ -59,6 +59,36 @@ TEST(ReplaySignatureGolden, BenchDynamicSmokeSignatureIsPinned) {
             hex16(golden.at("bench_dynamic_smoke")));
 }
 
+TEST(ReplaySignatureGolden, BenchDynamicSmokeFallbackKeepsItsReason) {
+  const auto golden = load_golden();
+  ASSERT_TRUE(golden.count("bench_dynamic_smoke"));
+  // The same replay as above: its trace holds an arrival that targeted
+  // repair cannot seat, so the scratch fallback runs and succeeds — which
+  // clears failure_reason.  The reason it fired survives in
+  // fallback_reason, and recording it leaves the trajectory unchanged.
+  DynamicWorld world = make_dynamic_world(42, {40, 2, 24});
+  ScenarioOptions opts;
+  opts.seed = 42;
+  opts.simulate = false;
+  const ScenarioResult result = replay_trace(
+      world.apps, world.platform, world.catalog, world.trace, opts);
+  EXPECT_EQ(hex16(result.signature),
+            hex16(golden.at("bench_dynamic_smoke")));
+  int fallbacks = 0;
+  for (const EventOutcome& out : result.outcomes) {
+    if (!out.repair.used_fallback) {
+      EXPECT_TRUE(out.repair.fallback_reason.empty());
+      continue;
+    }
+    ++fallbacks;
+    EXPECT_TRUE(out.repair.success);
+    EXPECT_TRUE(out.repair.failure_reason.empty());
+    EXPECT_EQ(out.repair.fallback_reason.rfind("arrival:", 0), 0u)
+        << out.repair.fallback_reason;
+  }
+  EXPECT_GE(fallbacks, 1);
+}
+
 TEST(ReplaySignatureGolden, BenchChaosSmokeSignaturesArePinned) {
   const auto golden = load_golden();
   // Exactly bench_chaos --smoke --seed 42, one row per chaos class.  The

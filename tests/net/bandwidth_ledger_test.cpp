@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 namespace insp {
 namespace {
 
@@ -112,6 +114,36 @@ TEST(LinkLedger, ZeroedEntriesErased) {
 // ---------------------------------------------------------------------------
 // Transaction / touched-set delta API (docs/DESIGN.md §5)
 // ---------------------------------------------------------------------------
+
+TEST(LinkLedger, RenameEndpointMovesLinksAndKeepsOrder) {
+  LinkLedger l(100.0);
+  l.add(1, 2, 5.0);
+  l.add(2, 3, 7.0);
+  l.add(1, 4, 3.0);
+  l.add(4, 5, 1.0);
+  l.add(2, 4, 2.0);  // the renamed pair itself: dropped
+  l.add(0, 2, 0.5);
+  l.rename_endpoint(2, 4);
+  // (1,2) lands on the existing (1,4); (2,3) and (0,2) become new links.
+  const std::vector<LinkLedger::Entry> expected = {
+      {{0, 4}, 0.5}, {{1, 4}, 8.0}, {{3, 4}, 7.0}, {{4, 5}, 1.0}};
+  EXPECT_EQ(l.entries(), expected);
+  EXPECT_DOUBLE_EQ(l.used(2, 3), 0.0);
+  EXPECT_DOUBLE_EQ(l.used(4, 2), 0.0);
+}
+
+TEST(LinkLedger, RenameEndpointOntoHigherIdResorts) {
+  LinkLedger l(100.0);
+  l.add(0, 1, 1.0);
+  l.add(1, 2, 2.0);
+  l.add(2, 3, 3.0);
+  l.rename_endpoint(1, 9);
+  const std::vector<LinkLedger::Entry> expected = {
+      {{0, 9}, 1.0}, {{2, 3}, 3.0}, {{2, 9}, 2.0}};
+  EXPECT_EQ(l.entries(), expected);
+  l.rename_endpoint(5, 6);  // no links: nothing changes
+  EXPECT_EQ(l.entries(), expected);
+}
 
 TEST(LinkLedgerTxn, CommitKeepsChangesAndClosesTxn) {
   LinkLedger links(100.0);
