@@ -19,12 +19,12 @@
 #include "bench_common.hpp"
 #include "core/downgrade.hpp"
 #include "core/server_selection.hpp"
+#include "harness/optimality_gap.hpp"
 #include "multi/multi_app.hpp"
 #include "multi/subexpression.hpp"
 #include "multi/subexpression_fold.hpp"
 #include "oracles/ablation_variants.hpp"
 #include "platform/server_distribution.hpp"
-#include "report/optimality_gap.hpp"
 #include "sim/event_sim.hpp"
 
 using namespace insp;

@@ -18,7 +18,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
-#include "bench_support/chaos_world.hpp"
+#include "harness/chaos_world.hpp"
 #include "health/health_monitor.hpp"
 
 using namespace insp;

@@ -13,9 +13,9 @@
 #include <utility>
 #include <vector>
 
-#include "bench_support/experiment.hpp"
-#include "bench_support/reporting.hpp"
 #include "core/strategy_registry.hpp"
+#include "harness/reporting.hpp"
+#include "harness/sweep.hpp"
 #include "util/cli.hpp"
 
 namespace insp::benchx {

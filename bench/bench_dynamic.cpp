@@ -29,8 +29,8 @@
 
 #include "bench_common.hpp"
 #include "bench_support/dynamic_world.hpp"
-#include "bench_support/gap_study.hpp"
 #include "dynamic/scenario_engine.hpp"
+#include "harness/gap_study.hpp"
 
 using namespace insp;
 using namespace insp::benchx;

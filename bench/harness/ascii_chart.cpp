@@ -1,4 +1,4 @@
-#include "util/ascii_chart.hpp"
+#include "harness/ascii_chart.hpp"
 
 #include <algorithm>
 #include <cmath>

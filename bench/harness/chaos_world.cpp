@@ -1,4 +1,4 @@
-#include "bench_support/chaos_world.hpp"
+#include "harness/chaos_world.hpp"
 
 #include <algorithm>
 

@@ -1,4 +1,4 @@
-#include "util/csv.hpp"
+#include "harness/csv.hpp"
 
 #include <cmath>
 #include <stdexcept>

@@ -1,4 +1,4 @@
-#include "bench_support/gap_study.hpp"
+#include "harness/gap_study.hpp"
 
 #include <algorithm>
 

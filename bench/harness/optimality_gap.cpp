@@ -1,4 +1,4 @@
-#include "report/optimality_gap.hpp"
+#include "harness/optimality_gap.hpp"
 
 #include <limits>
 

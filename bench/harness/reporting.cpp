@@ -1,4 +1,4 @@
-#include "bench_support/reporting.hpp"
+#include "harness/reporting.hpp"
 
 #include <cerrno>
 #include <cmath>
@@ -7,8 +7,8 @@
 #include <limits>
 #include <sstream>
 
-#include "util/ascii_chart.hpp"
-#include "util/csv.hpp"
+#include "harness/ascii_chart.hpp"
+#include "harness/csv.hpp"
 
 namespace insp {
 

@@ -8,7 +8,7 @@
 #include <utility>
 #include <vector>
 
-#include "bench_support/experiment.hpp"
+#include "harness/sweep.hpp"
 
 namespace insp {
 

@@ -3,7 +3,7 @@
 
 Every bench binary that emits machine-readable JSON (bench_placement_speed,
 bench_dynamic, bench_sim_speed, ...) writes it through the one artifact
-writer, write_json_artifact in src/bench_support/reporting.hpp, so all of
+writer, write_json_artifact in bench/harness/reporting.hpp, so all of
 them follow one envelope:
 
     {

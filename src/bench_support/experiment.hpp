@@ -1,19 +1,13 @@
-// Experiment harness shared by every bench binary: builds seeded random
-// instances exactly per the paper's methodology (§5), runs the heuristic
-// pipelines, and aggregates costs/failures per sweep point.
+// Seeded random instances built exactly per the paper's methodology (§5).
+// The benches' sweep driver (bench/harness/sweep.hpp) and the repository
+// benchmark (perfbench/) both draw their problems from here.
 #pragma once
 
 #include <cstdint>
-#include <functional>
-#include <map>
-#include <memory>
-#include <string>
-#include <vector>
 
 #include "core/allocator.hpp"
 #include "platform/server_distribution.hpp"
 #include "tree/tree_generator.hpp"
-#include "util/stats.hpp"
 
 namespace insp {
 
@@ -45,44 +39,5 @@ struct InstanceConfig {
 
 /// Deterministic: the same (seed, config) always yields the same instance.
 Instance make_instance(std::uint64_t seed, const InstanceConfig& config);
-
-// ---------------------------------------------------------------------------
-
-struct SweepCell {
-  SampleSet cost;        ///< successful runs only (paper plots likewise)
-  SampleSet processors;  ///< processor counts of successful runs
-  int attempts = 0;
-  int failures = 0;
-  double failure_rate() const {
-    return attempts == 0 ? 0.0
-                         : static_cast<double>(failures) / attempts;
-  }
-};
-
-struct SweepResult {
-  std::string x_name;
-  std::vector<double> xs;
-  std::vector<HeuristicKind> heuristics;
-  /// cells[h][i]: aggregate for heuristic h at xs[i].
-  std::map<HeuristicKind, std::vector<SweepCell>> cells;
-};
-
-struct SweepSpec {
-  std::string x_name = "x";
-  std::vector<double> xs;
-  /// Instance for sweep value x and repetition seed.
-  std::function<InstanceConfig(double x)> config_for;
-  int repetitions = 30;
-  std::uint64_t base_seed = 42;
-  std::vector<HeuristicKind> heuristics;  ///< empty = all six
-  AllocatorOptions allocator_options;
-  /// Worker threads for the (x, repetition) grid: 0 = hardware concurrency,
-  /// 1 = serial.  Every task derives its RNG purely from
-  /// (base_seed, x_index, rep), so the result is bit-identical for every
-  /// thread count.
-  int num_threads = 0;
-};
-
-SweepResult run_sweep(const SweepSpec& spec);
 
 } // namespace insp

@@ -1,8 +1,14 @@
 #include "core/downgrade.hpp"
 
-#include <cassert>
-
 namespace insp {
+
+ProcessorConfig downgraded_config(const PriceCatalog& catalog,
+                                  const ProcessorConfig& current, MegaOps cpu,
+                                  MBps nic) {
+  const auto best = catalog.cheapest_meeting(cpu, nic);
+  if (best && catalog.cost(*best) < catalog.cost(current)) return *best;
+  return current;
+}
 
 DowngradeSummary downgrade_processors(const Problem& problem,
                                       Allocation& alloc) {
@@ -11,19 +17,13 @@ DowngradeSummary downgrade_processors(const Problem& problem,
   const PriceCatalog& cat = *problem.catalog;
   for (std::size_t u = 0; u < alloc.processors.size(); ++u) {
     auto& p = alloc.processors[u];
-    const auto best =
-        cat.cheapest_meeting(loads[u].cpu_demand, loads[u].nic_total());
-    // The current configuration satisfies the load (the placement phase
-    // checked it), so a meeting configuration always exists.
-    assert(best.has_value());
-    if (!best) continue;
+    const ProcessorConfig best = downgraded_config(
+        cat, p.config, loads[u].cpu_demand, loads[u].nic_total());
+    if (best == p.config) continue;
     const Dollars before = cat.cost(p.config);
-    const Dollars after = cat.cost(*best);
-    if (after < before) {
-      p.config = *best;
-      ++summary.processors_changed;
-      summary.saved += before - after;
-    }
+    p.config = best;
+    ++summary.processors_changed;
+    summary.saved += before - cat.cost(best);
   }
   return summary;
 }

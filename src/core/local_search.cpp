@@ -4,20 +4,20 @@
 #include <cassert>
 #include <optional>
 
+#include "core/downgrade.hpp"
 #include "util/log.hpp"
 
 namespace insp {
 
 namespace {
 
-// Projected post-downgrade cost of one live processor (cheapest catalog
-// configuration meeting its current loads; its current — always sufficient
-// — configuration is the fallback).
+// Projected post-downgrade cost of one live processor: the price of the
+// configuration the downgrade phase would give it at its current loads.
 Dollars projected_processor_cost(const PlacementState& state, int pid) {
   const PriceCatalog& cat = *state.problem().catalog;
-  const auto cfg =
-      cat.cheapest_meeting(state.cpu_demand(pid), state.nic_load(pid));
-  return cfg ? cat.cost(*cfg) : cat.cost(state.config(pid));
+  return cat.cost(downgraded_config(cat, state.config(pid),
+                                    state.cpu_demand(pid),
+                                    state.nic_load(pid)));
 }
 
 // Projected cost of processors `a` and `b` merged onto one (analytic: no

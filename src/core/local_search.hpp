@@ -2,8 +2,9 @@
 // in the spirit of its conclusion).  Operates on the live PlacementState
 // between the placement and server-selection phases; the objective is the
 // *projected post-downgrade cost*: the sum over live processors of the
-// cheapest catalog configuration meeting each processor's current CPU and
-// NIC load (exactly what the downgrade phase will charge).
+// price of downgraded_config (core/downgrade.hpp) at each processor's
+// current CPU and NIC load — the downgrade phase's own rule, so exactly
+// what that phase will charge.
 //
 // Two move types, applied in passes until a fixpoint or a fixed pass limit:
 //   - merge: move one processor's whole content onto another and sell it,
@@ -27,8 +28,8 @@ struct LocalSearchStats {
   Dollars projected_cost_after = 0.0;
 };
 
-/// Projected post-downgrade cost of the current state (sum of
-/// cheapest-meeting configs; the current configs are upper bounds).
+/// Projected post-downgrade cost of the current state (sum of the
+/// downgraded_config prices; the current configs are upper bounds).
 Dollars projected_downgraded_cost(const PlacementState& state);
 
 struct MergeSweepResult {

@@ -4,6 +4,7 @@
 #include <cassert>
 
 #include "core/constraints.hpp"
+#include "core/downgrade.hpp"
 #include "core/local_search.hpp"
 #include "core/server_selection.hpp"
 #include "util/log.hpp"
@@ -321,13 +322,11 @@ void DynamicAllocator::consolidate(RepairReport& report) {
   // Re-pricing pass: the downgrade step, applied in place to the live
   // state (strictly cheaper configurations only).
   for (int pid : state_->live_processors()) {
-    const auto cfg = catalog_.cheapest_meeting(state_->cpu_demand(pid),
-                                               state_->nic_load(pid));
-    if (!cfg) continue;
-    if (catalog_.cost(*cfg) >= catalog_.cost(state_->config(pid)) - 1e-9) {
-      continue;
-    }
-    if (state_->try_reconfigure(pid, *cfg)) ++report.reconfigures;
+    const ProcessorConfig cfg =
+        downgraded_config(catalog_, state_->config(pid),
+                          state_->cpu_demand(pid), state_->nic_load(pid));
+    if (cfg == state_->config(pid)) continue;
+    if (state_->try_reconfigure(pid, cfg)) ++report.reconfigures;
   }
 }
 

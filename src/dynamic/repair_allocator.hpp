@@ -15,9 +15,9 @@
 //     incremental first-fit;
 //   - server failure/recovery re-routes downloads (server selection) without
 //     touching the placement;
-//   - after every event a consolidation pass (the local-search merge_sweep +
-//     the downgrade-equivalent cheapest-meeting re-pricing) recovers cost
-//     headroom the event released.
+//   - after every event a consolidation pass (the local-search merge_sweep,
+//     then the downgrade rule, downgraded_config, applied in place to each
+//     live processor) recovers cost headroom the event released.
 //
 // When targeted repair cannot restore feasibility the engine falls back to a
 // full from-scratch re-allocation.  Every event returns a RepairReport with

@@ -222,9 +222,16 @@ EventTrace trace_from_text(const std::string& text) {
     std::string tag;
     ls >> tag;
     if (tag == "arrival_alpha") {
-      ls >> trace.arrival_alpha;
+      // The same ranges from_text enforces on a tree's alpha line.
+      if (!(ls >> trace.arrival_alpha) || !std::isfinite(trace.arrival_alpha)) {
+        throw std::invalid_argument("trace: bad arrival_alpha: " + line);
+      }
     } else if (tag == "arrival_work_scale") {
-      ls >> trace.arrival_work_scale;
+      if (!(ls >> trace.arrival_work_scale) ||
+          !std::isfinite(trace.arrival_work_scale) ||
+          trace.arrival_work_scale <= 0.0) {
+        throw std::invalid_argument("trace: bad arrival_work_scale: " + line);
+      }
     } else if (tag == "tree") {
       std::size_t index = 0;
       ls >> index;

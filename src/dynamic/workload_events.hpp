@@ -95,7 +95,8 @@ EventTrace generate_trace(Rng& rng, const TraceGenConfig& config,
                           const ObjectCatalog& catalog);
 
 /// Text round-trip (format documented in workload_events.cpp).  Throws
-/// std::invalid_argument on malformed input.
+/// std::invalid_argument on malformed input, including a non-finite
+/// arrival_alpha or an arrival_work_scale that is not finite and > 0.
 std::string trace_to_text(const EventTrace& trace);
 EventTrace trace_from_text(const std::string& text);
 

@@ -1,13 +1,13 @@
 #include "ilp/exact_solver.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <cmath>
 #include <limits>
 #include <map>
 #include <sstream>
 
 #include "core/allocator.hpp"
+#include "core/downgrade.hpp"
 #include "core/placement_common.hpp"
 #include "core/placement_state.hpp"
 #include "core/server_selection.hpp"
@@ -277,15 +277,11 @@ void try_complete_partition(const Problem& problem, const PlacementState& state,
   // Server routing: fast path, then exact.
   if (!route_downloads_exact(problem, alloc)) return;
 
-  // Apply cheapest-meeting configs now that routes exist (routes do not
-  // change NIC loads — rates are server-independent).
-  const auto loads = compute_processor_loads(problem, alloc);
-  for (std::size_t u = 0; u < alloc.processors.size(); ++u) {
-    const auto cfg = problem.catalog->cheapest_meeting(loads[u].cpu_demand,
-                                                       loads[u].nic_total());
-    assert(cfg.has_value());
-    alloc.processors[u].config = *cfg;
-  }
+  // Downgrade now that routes exist (routes do not change NIC loads — rates
+  // are server-independent).  Every leaf processor was bought at
+  // most_expensive(), which by_cost() orders first among equal-priced
+  // configurations, so a tie keeping it is the cheapest meeting one too.
+  downgrade_processors(problem, alloc);
   *best_cost = *cost;
   *best_alloc = std::move(alloc);
 }

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <cmath>
 
 #include "service/batch_planner.hpp"
 #include "util/thread_pool.hpp"
@@ -51,6 +52,7 @@ void AllocationService::start() {
 
 bool AllocationService::submit(int shard, const WorkloadEvent& event) {
   if (shard < 0 || shard >= num_shards()) return false;
+  if (!std::isfinite(event.time)) return false;
   Shard& sh = *shards_[static_cast<std::size_t>(shard)];
   ServiceRequest req;
   req.shard = shard;

@@ -120,7 +120,8 @@ class AllocationService {
   void start();
 
   /// Enqueues one tenant request; blocks while the queue is full.  Returns
-  /// false when the shard id is out of range or the service is finishing.
+  /// false when the shard id is out of range, the event time is not
+  /// finite, or the service is finishing.
   /// Per-shard request order is submission order: concurrent submitters
   /// must target different shards (one stream per shard), which is the
   /// natural tenant-to-shard routing anyway.

@@ -1,12 +1,20 @@
 #include "service/batch_planner.hpp"
 
 #include <cmath>
+#include <limits>
 
 namespace insp {
 
 std::int64_t batch_epoch(double time_s, double window_s) {
   if (window_s <= 0.0) return 0;  // callers split per event instead
-  return static_cast<std::int64_t>(std::floor(time_s / window_s));
+  // Casting a double outside the int64 range (or a NaN) is undefined, so
+  // clamp to the limits; -2^63 and 2^63 are exact doubles.
+  const double q = std::floor(time_s / window_s);
+  constexpr double kLimit = 9223372036854775808.0;  // 2^63
+  if (std::isnan(q)) return 0;
+  if (q >= kLimit) return std::numeric_limits<std::int64_t>::max();
+  if (q <= -kLimit) return std::numeric_limits<std::int64_t>::min();
+  return static_cast<std::int64_t>(q);
 }
 
 bool is_rate_event(EventKind kind) {

@@ -34,7 +34,8 @@
 namespace insp {
 
 /// Epoch of an event at the given window width.  window_s <= 0 disables
-/// batching (every event is its own epoch, nothing coalesces).
+/// batching (every event is its own epoch, nothing coalesces).  A quotient
+/// beyond the int64 range clamps to its limits; a NaN one is epoch 0.
 std::int64_t batch_epoch(double time_s, double window_s);
 
 /// True for the event kinds that participate in last-write-wins coalescing.

@@ -1,6 +1,7 @@
 #include "tree/tree_io.hpp"
 
 #include <algorithm>
+#include <cmath>
 #include <fstream>
 #include <map>
 #include <sstream>
@@ -66,6 +67,12 @@ std::string to_text(const OperatorTree& tree, double alpha,
   return out.str();
 }
 
+namespace {
+
+bool positive_finite(double v) { return std::isfinite(v) && v > 0.0; }
+
+} // namespace
+
 OperatorTree from_text(const std::string& text) {
   std::istringstream in(text);
   std::string line;
@@ -107,14 +114,18 @@ OperatorTree from_text(const std::string& text) {
     if (!(ls >> tok)) continue;
     if (tok == "alpha") {
       std::string ws;
-      if (!(ls >> alpha >> ws >> work_scale) || ws != "work_scale") {
+      if (!(ls >> alpha >> ws >> work_scale) || ws != "work_scale" ||
+          !std::isfinite(alpha) || !positive_finite(work_scale)) {
         fail("bad alpha line");
       }
     } else if (tok == "objects") {
       if (!(ls >> declared_objects)) fail("bad objects line");
     } else if (tok == "object") {
       ObjectType t;
-      if (!(ls >> t.id >> t.size_mb >> t.freq_hz)) fail("bad object line");
+      if (!(ls >> t.id >> t.size_mb >> t.freq_hz) ||
+          !positive_finite(t.size_mb) || !positive_finite(t.freq_hz)) {
+        fail("bad object line");
+      }
       types.push_back(t);
     } else if (tok == "operators") {
       std::string r;

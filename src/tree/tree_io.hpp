@@ -35,7 +35,9 @@ std::string to_dot(const OperatorTree& tree);
 std::string to_text(const OperatorTree& tree, double alpha,
                     double work_scale = 1.0);
 
-/// Parses the text format; throws std::invalid_argument on malformed input.
+/// Parses the text format; throws std::invalid_argument on malformed input
+/// and on out-of-range numbers: an object size or frequency, or the
+/// work_scale, that is not finite and > 0, or a non-finite alpha.
 OperatorTree from_text(const std::string& text);
 
 /// Convenience file helpers (throw std::runtime_error on IO failure).

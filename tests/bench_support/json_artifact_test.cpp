@@ -1,4 +1,4 @@
-#include "bench_support/reporting.hpp"
+#include "harness/reporting.hpp"
 
 #include <gtest/gtest.h>
 

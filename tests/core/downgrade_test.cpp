@@ -3,7 +3,12 @@
 #include <gtest/gtest.h>
 
 #include "../test_helpers.hpp"
+#include "bench_support/experiment.hpp"
 #include "core/constraints.hpp"
+#include "core/local_search.hpp"
+#include "core/placement_state.hpp"
+#include "core/strategy_registry.hpp"
+#include "util/rng.hpp"
 
 namespace insp {
 namespace {
@@ -130,6 +135,72 @@ TEST(Downgrade, MixedRequirementsPerProcessor) {
   EXPECT_GT(f.catalog.speed(a.processors[0].config),
             f.catalog.speed(a.processors[1].config));
   EXPECT_TRUE(check_allocation(f.problem(), a).ok());
+}
+
+// The downgrade rule has one definition, downgraded_config, evaluated on two
+// kinds of load: the live PlacementState's (local search's projected cost,
+// the repair engine's re-pricing pass) and the finished Allocation's
+// (downgrade_processors, the exact solver's leaves).  On every feasible
+// state the heuristics produce, both must pick the same configuration.
+TEST(Downgrade, RuleAgreesOnStateAndAllocationLoads) {
+  int compared = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    for (const auto& [n, alpha] : {std::pair{60, 0.9}, std::pair{40, 1.7}}) {
+      InstanceConfig cfg;  // paper §5: 15 small high-frequency types
+      cfg.tree.num_operators = n;
+      cfg.tree.alpha = alpha;
+      cfg.tree.num_object_types = 15;
+      cfg.tree.object_size_lo = 5.0;
+      cfg.tree.object_size_hi = 30.0;
+      cfg.tree.download_freq = 0.5;
+      cfg.servers.num_servers = 6;
+      const Instance inst = make_instance(seed, cfg);
+      const Problem prob = inst.problem();
+      const PriceCatalog& cat = inst.catalog();
+      for (HeuristicKind h : all_heuristics()) {
+        for (bool local_search : {false, true}) {
+          PlacementState state(prob);
+          Rng rng(seed * 131 + static_cast<std::uint64_t>(h));
+          if (!strategy_for(h).place(state, rng).success) continue;
+          if (local_search) refine_placement(state);
+          ASSERT_TRUE(state.feasible());
+          Allocation alloc = state.to_allocation();
+          downgrade_processors(prob, alloc);
+          for (const PurchasedProcessor& p : alloc.processors) {
+            const int pid = state.proc_of(p.ops.front());
+            EXPECT_EQ(downgraded_config(cat, state.config(pid),
+                                        state.cpu_demand(pid),
+                                        state.nic_load(pid)),
+                      p.config)
+                << heuristic_name(h) << " seed " << seed << " n " << n
+                << " local search " << local_search;
+          }
+          // Whole-dollar prices: the sums agree exactly.
+          EXPECT_EQ(projected_downgraded_cost(state), alloc.total_cost(cat));
+          ++compared;
+        }
+      }
+    }
+  }
+  EXPECT_GE(compared, 48);
+}
+
+TEST(Downgrade, TieKeepsCurrentConfiguration) {
+  // Two CPUs at the same price: B (faster) sorts first among the ties, so
+  // cheapest_meeting names B even where A meets the load just as well.
+  const PriceCatalog cat(100.0, {{500.0, 0.0}, {1000.0, 50.0}, {2000.0, 50.0}},
+                         {{100.0, 0.0}});
+  const ProcessorConfig c{0, 0}, a{1, 0}, b{2, 0};
+  ASSERT_EQ(cat.cost(a), cat.cost(b));
+  ASSERT_EQ(cat.cheapest_meeting(800.0, 50.0), b);
+  // A tie keeps the current configuration...
+  EXPECT_EQ(downgraded_config(cat, a, 800.0, 50.0), a);
+  EXPECT_EQ(downgraded_config(cat, b, 800.0, 50.0), b);
+  // ...a strictly cheaper one replaces it...
+  EXPECT_EQ(downgraded_config(cat, a, 400.0, 50.0), c);
+  EXPECT_EQ(downgraded_config(cat, b, 400.0, 50.0), c);
+  // ...and a load no configuration meets keeps it too.
+  EXPECT_EQ(downgraded_config(cat, a, 3000.0, 50.0), a);
 }
 
 } // namespace

@@ -140,6 +140,22 @@ TEST(TraceIo, RejectsOutOfRangeIndices) {
       std::invalid_argument);
 }
 
+TEST(TraceIo, RejectsBadArrivalParameters) {
+  const std::string header = "cinsp-trace 1\n";
+  const EventTrace good =
+      trace_from_text(header + "arrival_alpha 0.5\narrival_work_scale 2\n");
+  EXPECT_EQ(good.arrival_alpha, 0.5);
+  EXPECT_EQ(good.arrival_work_scale, 2.0);
+  // A failed parse throws instead of loading 0, and the work scale must be
+  // > 0, as from_text requires of a tree's own alpha line.
+  for (const char* bad :
+       {"arrival_alpha banana\n", "arrival_alpha\n",
+        "arrival_work_scale -2\n", "arrival_work_scale 0\n",
+        "arrival_work_scale x\n"}) {
+    EXPECT_THROW(trace_from_text(header + bad), std::invalid_argument) << bad;
+  }
+}
+
 TEST(TraceGenerator, EmptyTraceConfig) {
   const auto w = make_world(14);
   TraceGenConfig tg = small_trace_config(0);

@@ -7,7 +7,7 @@
 
 #include <vector>
 
-#include "bench_support/chaos_world.hpp"
+#include "harness/chaos_world.hpp"
 #include "health/health_monitor.hpp"
 
 namespace insp {

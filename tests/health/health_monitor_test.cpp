@@ -10,8 +10,8 @@
 
 #include <string>
 
-#include "bench_support/chaos_world.hpp"
 #include "dynamic/scenario_engine.hpp"
+#include "harness/chaos_world.hpp"
 #include "health/health_monitor.hpp"
 
 namespace insp {

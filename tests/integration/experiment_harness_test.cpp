@@ -1,11 +1,11 @@
-#include "bench_support/experiment.hpp"
+#include "harness/sweep.hpp"
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <fstream>
 
-#include "bench_support/reporting.hpp"
+#include "harness/reporting.hpp"
 
 namespace insp {
 namespace {

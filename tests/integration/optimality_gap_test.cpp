@@ -11,9 +11,9 @@
 #include <string>
 
 #include "../test_helpers.hpp"
-#include "bench_support/gap_study.hpp"
 #include "core/allocator.hpp"
-#include "report/optimality_gap.hpp"
+#include "harness/gap_study.hpp"
+#include "harness/optimality_gap.hpp"
 
 namespace insp {
 namespace {

@@ -4,6 +4,7 @@
 #include <gtest/gtest.h>
 
 #include "bench_support/experiment.hpp"
+#include "harness/stats.hpp"
 #include "ilp/exact_solver.hpp"
 
 namespace insp {

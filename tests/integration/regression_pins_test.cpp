@@ -7,10 +7,10 @@
 #include <map>
 
 #include "bench_support/experiment.hpp"
-#include "bench_support/reporting.hpp"
 #include "core/placement_heuristics.hpp"
 #include "core/placement_state.hpp"
 #include "dynamic/replay_signature.hpp"
+#include "harness/reporting.hpp"
 
 namespace insp {
 namespace {

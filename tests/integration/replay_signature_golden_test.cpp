@@ -13,10 +13,10 @@
 #include <sstream>
 #include <string>
 
-#include "bench_support/chaos_world.hpp"
 #include "bench_support/dynamic_world.hpp"
-#include "bench_support/reporting.hpp"
 #include "dynamic/scenario_engine.hpp"
+#include "harness/chaos_world.hpp"
+#include "harness/reporting.hpp"
 #include "health/health_monitor.hpp"
 #include "service/service_replay.hpp"
 

@@ -3,7 +3,7 @@
 // are merged in serial order.  These tests compare whole SweepResults across
 // thread counts, including the raw sample vectors (values AND insertion
 // order), and log the serial/parallel wall-clock ratio for reference.
-#include "bench_support/experiment.hpp"
+#include "harness/sweep.hpp"
 
 #include <gtest/gtest.h>
 

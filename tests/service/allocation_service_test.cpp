@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdint>
+#include <limits>
 #include <thread>
 
 #include "bench_support/dynamic_world.hpp"
@@ -99,6 +101,16 @@ TEST(BatchPlanner, EpochIsFloorOfTimeOverWindow) {
   EXPECT_EQ(batch_epoch(30.0, 30.0), 1);
   EXPECT_EQ(batch_epoch(65.0, 30.0), 2);
   EXPECT_EQ(batch_epoch(10.0, 0.0), 0);  // batching disabled
+}
+
+TEST(BatchPlanner, EpochClampsToTheInt64Range) {
+  constexpr std::int64_t kMax = std::numeric_limits<std::int64_t>::max();
+  constexpr std::int64_t kMin = std::numeric_limits<std::int64_t>::min();
+  EXPECT_EQ(batch_epoch(1e300, 30.0), kMax);
+  EXPECT_EQ(batch_epoch(-1e300, 30.0), kMin);
+  EXPECT_EQ(batch_epoch(std::numeric_limits<double>::infinity(), 30.0), kMax);
+  EXPECT_EQ(batch_epoch(std::numeric_limits<double>::quiet_NaN(), 30.0), 0);
+  EXPECT_EQ(batch_epoch(-1e300, 0.0), 0);  // batching disabled
 }
 
 TEST(BatchPlanner, EpochRunsSplitOnEpochChange) {
@@ -233,6 +245,24 @@ TEST(AllocationService, RejectsOutOfRangeShard) {
   EXPECT_FALSE(service.submit(1, e));
   EXPECT_TRUE(service.submit(0, e));
   service.finish();
+}
+
+TEST(AllocationService, RejectsNonFiniteTime) {
+  ServiceOptions opt;
+  opt.num_workers = 1;
+  AllocationService service(small_shards(1), opt);
+  service.start();
+  const auto rho_at = [](double t) {
+    return rate_event(EventKind::RhoChange, 0, 0.7, t);
+  };
+  for (double t : {std::numeric_limits<double>::quiet_NaN(),
+                   std::numeric_limits<double>::infinity(),
+                   -std::numeric_limits<double>::infinity()}) {
+    EXPECT_FALSE(service.submit(0, rho_at(t))) << t;
+  }
+  // A huge finite time is accepted: its epoch clamps to the int64 limit.
+  EXPECT_TRUE(service.submit(0, rho_at(1e300)));
+  EXPECT_EQ(service.finish().requests_submitted, 1u);
 }
 
 TEST(AllocationService, MatchesSequentialReferenceForEveryWorkerCount) {

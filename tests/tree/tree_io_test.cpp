@@ -96,6 +96,29 @@ TEST(TreeIo, RejectsDuplicateOpIds) {
   EXPECT_THROW(from_text(text), std::invalid_argument);
 }
 
+TEST(TreeIo, RejectsOutOfRangeNumbers) {
+  const auto text = [](const std::string& alpha_line,
+                       const std::string& object_line) {
+    return "cinsp-tree 1\n" + alpha_line + "\nobjects 1\n" + object_line +
+           "\noperators 1 root 0\nop 0 parent -1\nleaf 0 0\n";
+  };
+  const std::string good_alpha = "alpha 1 work_scale 1";
+  const std::string good_object = "object 0 5 0.5";
+  EXPECT_NO_THROW(from_text(text(good_alpha, good_object)));
+  // Object size and frequency must be > 0 (a negative size gave a negative
+  // rate and root work; a zero frequency gave a zero rate).
+  for (const char* bad : {"object 0 -5 0.5", "object 0 0 0.5",
+                          "object 0 5 0", "object 0 5 -0.5"}) {
+    EXPECT_THROW(from_text(text(good_alpha, bad)), std::invalid_argument)
+        << bad;
+  }
+  // work_scale must be > 0 (a negative one gave negative work).
+  for (const char* bad : {"alpha 1 work_scale -1", "alpha 1 work_scale 0"}) {
+    EXPECT_THROW(from_text(text(bad, good_object)), std::invalid_argument)
+        << bad;
+  }
+}
+
 TEST(TreeIo, SaveAndLoadFile) {
   const std::string path = testing::TempDir() + "/cinsp_tree_io_test.tree";
   const OperatorTree t = fig1a_tree(0.9);

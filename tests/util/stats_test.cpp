@@ -1,4 +1,4 @@
-#include "util/stats.hpp"
+#include "harness/stats.hpp"
 
 #include <gtest/gtest.h>
 
