@@ -79,7 +79,6 @@ void PlacementState::begin_txn(TxnMode mode) {
   txn_mode_ = mode;
   ++txn_epoch_;
   snap_count_ = 0;
-  touched_procs_.clear();
   moved_ops_.clear();
   pp_links_.begin_txn();
 }
@@ -88,14 +87,13 @@ void PlacementState::touch_proc(int pid) {
   ProcState& p = proc(pid);
   if (p.touch_epoch == txn_epoch_) return;
   p.touch_epoch = txn_epoch_;
-  touched_procs_.push_back(pid);
-  if (txn_mode_ != TxnMode::kFull) return;
   if (snap_count_ == snaps_.size()) snaps_.emplace_back();
   ProcSnapshot& s = snaps_[snap_count_++];
   s.pid = pid;
   s.work = p.work;
   s.download = p.download;
   s.comm = p.comm;
+  if (txn_mode_ != TxnMode::kFull) return;
   s.ops.assign(p.ops.begin(), p.ops.end());
   s.type_count.assign(p.type_count.begin(), p.type_count.end());
 }
@@ -134,36 +132,21 @@ void PlacementState::rollback_txn() {
   pp_links_.rollback_txn();
 }
 
-bool PlacementState::touched_feasible() const {
+bool PlacementState::proc_fits(const ProcessorConfig& cfg, MegaOps work,
+                               MBps nic, MegaOps was_work,
+                               MBps was_nic) const {
   const PriceCatalog& cat = *problem_.catalog;
-  for (int pid : touched_procs_) {
-    const ProcState& p = proc(pid);
-    if (!p.live) continue;
-    if (!fits_within(problem_.rho * p.work, cat.speed(p.cfg))) return false;
-    if (!fits_within(p.download + p.comm, cat.bandwidth(p.cfg))) return false;
-  }
-  return pp_links_.touched_within();
+  return no_worse(problem_.rho * work, problem_.rho * was_work,
+                  cat.speed(cfg)) &&
+         no_worse(nic, was_nic, cat.bandwidth(cfg));
 }
 
 bool PlacementState::touched_no_worse() const {
-  assert(txn_mode_ == TxnMode::kFull);
-  const PriceCatalog& cat = *problem_.catalog;
-  // In kFull mode touch_proc snapshots every touched processor as it
-  // records it, so touched_procs_[i] and snaps_[i] describe the same
-  // processor: the snapshot is the pre-transaction baseline.
-  for (std::size_t i = 0; i < touched_procs_.size(); ++i) {
-    const ProcState& p = proc(touched_procs_[i]);
-    if (!p.live) continue;
+  for (std::size_t i = 0; i < snap_count_; ++i) {
     const ProcSnapshot& s = snaps_[i];
-    assert(s.pid == touched_procs_[i]);
-    const MegaOps cpu_now = problem_.rho * p.work;
-    if (!fits_within(cpu_now, cat.speed(p.cfg)) &&
-        !fits_within(cpu_now, problem_.rho * s.work)) {
-      return false;
-    }
-    const MBps nic_now = p.download + p.comm;
-    if (!fits_within(nic_now, cat.bandwidth(p.cfg)) &&
-        !fits_within(nic_now, s.download + s.comm)) {
+    const ProcState& p = proc(s.pid);
+    if (p.live && !proc_fits(p.cfg, p.work, p.download + p.comm, s.work,
+                             s.download + s.comm)) {
       return false;
     }
   }
@@ -301,17 +284,13 @@ void PlacementState::unassign_op(int op) {
 }
 
 bool PlacementState::feasible() const {
-  const PriceCatalog& cat = *problem_.catalog;
   for (const auto& p : procs_) {
-    if (!p.live) continue;
-    if (!fits_within(problem_.rho * p.work, cat.speed(p.cfg))) return false;
-    if (!fits_within(p.download + p.comm, cat.bandwidth(p.cfg))) return false;
+    if (p.live && !proc_fits(p.cfg, p.work, p.download + p.comm)) return false;
   }
   return pp_links_.all_within();
 }
 
-bool PlacementState::stage_move(const int* ops, std::size_t n, int pid,
-                                bool relaxed) {
+bool PlacementState::stage_move(const int* ops, std::size_t n, int pid) {
   // `ops` routinely aliases ops_on() of a processor the move empties, and
   // assign/unassign reshuffle those vectors — copy into reusable scratch.
   scratch_ops_.assign(ops, ops + n);
@@ -326,7 +305,7 @@ bool PlacementState::stage_move(const int* ops, std::size_t n, int pid,
     }
     assign_op(op, pid);
   }
-  if (!(relaxed ? touched_no_worse() : touched_feasible())) {
+  if (!touched_no_worse()) {
     rollback_txn();
     return false;
   }
@@ -334,8 +313,8 @@ bool PlacementState::stage_move(const int* ops, std::size_t n, int pid,
 }
 
 bool PlacementState::probe(const int* ops, std::size_t n, int pid,
-                           bool commit, bool relaxed) {
-  if (!stage_move(ops, n, pid, relaxed)) return false;
+                           bool commit) {
+  if (!stage_move(ops, n, pid)) return false;
   if (!commit) {
     rollback_txn();
     return true;
@@ -354,42 +333,20 @@ bool PlacementState::probe(const int* ops, std::size_t n, int pid,
 
 bool PlacementState::try_place(const std::vector<int>& ops, int pid) {
   assert(is_live(pid));
-  return probe(ops.data(), ops.size(), pid, /*commit=*/true,
-               /*relaxed=*/false);
+  return probe(ops.data(), ops.size(), pid, /*commit=*/true);
 }
 
 bool PlacementState::try_place(int op, int pid) {
   assert(is_live(pid));
-  return probe(&op, 1, pid, /*commit=*/true, /*relaxed=*/false);
+  return probe(&op, 1, pid, /*commit=*/true);
 }
 
 bool PlacementState::can_place(const std::vector<int>& ops, int pid) {
-  return probe(ops.data(), ops.size(), pid, /*commit=*/false,
-               /*relaxed=*/false);
+  return probe(ops.data(), ops.size(), pid, /*commit=*/false);
 }
 
 bool PlacementState::can_place(int op, int pid) {
-  return probe(&op, 1, pid, /*commit=*/false, /*relaxed=*/false);
-}
-
-bool PlacementState::try_place_relaxed(const std::vector<int>& ops, int pid) {
-  assert(is_live(pid));
-  return probe(ops.data(), ops.size(), pid, /*commit=*/true,
-               /*relaxed=*/true);
-}
-
-bool PlacementState::try_place_relaxed(int op, int pid) {
-  assert(is_live(pid));
-  return probe(&op, 1, pid, /*commit=*/true, /*relaxed=*/true);
-}
-
-bool PlacementState::can_place_relaxed(const std::vector<int>& ops, int pid) {
-  return probe(ops.data(), ops.size(), pid, /*commit=*/false,
-               /*relaxed=*/true);
-}
-
-bool PlacementState::can_place_relaxed(int op, int pid) {
-  return probe(&op, 1, pid, /*commit=*/false, /*relaxed=*/true);
+  return probe(&op, 1, pid, /*commit=*/false);
 }
 
 bool PlacementState::try_absorb(int from, int into) {
@@ -404,9 +361,7 @@ bool PlacementState::try_absorb(int from, int into) {
   // label.  Same configuration, same union: the verdict is the forward one
   // (up to summation order), and a failure rolls back before any swap.
   const std::size_t n_from = f.ops.size();
-  if (!stage_move(t.ops.data(), t.ops.size(), from, /*relaxed=*/false)) {
-    return false;
-  }
+  if (!stage_move(t.ops.data(), t.ops.size(), from)) return false;
   commit_txn();
   std::swap(f.ops, t.ops);
   std::swap(f.work, t.work);
@@ -501,17 +456,13 @@ const std::vector<unsigned char>& PlacementState::lifted_verdicts(
   // An empty move is vacuously feasible everywhere.
   if (n == 0 || lift_group_.empty()) return lift_verdicts_;
   footprint_from_baseline();
-  // A fresh processor is empty: every group type is downloaded and every
-  // external edge crosses, so each configuration is two comparisons.
-  const MegaOps cpu = problem_.rho * fp_.sum_w;
+  // A fresh processor is empty (a zero baseline): every group type is
+  // downloaded and every external edge crosses, so each configuration is
+  // two comparisons.
   const MBps nic = fp_.download + fp_.ext_total;
-  const PriceCatalog& cat = *problem_.catalog;
   for (std::size_t i = 0; i < n; ++i) {
-    lift_verdicts_[i] = (fp_.others_ok &&
-                         fits_within(cpu, cat.speed(configs[i])) &&
-                         fits_within(nic, cat.bandwidth(configs[i])))
-                            ? 1
-                            : 0;
+    lift_verdicts_[i] =
+        fp_.others_ok && proc_fits(configs[i], fp_.sum_w, nic) ? 1 : 0;
   }
   return lift_verdicts_;
 }
@@ -519,7 +470,6 @@ const std::vector<unsigned char>& PlacementState::lifted_verdicts(
 void PlacementState::footprint_from_baseline() {
   assert(lift_open_ && !lift_group_.empty());
   const OperatorTree& tree = *problem_.tree;
-  const PriceCatalog& cat = *problem_.catalog;
 
   fp_.sum_w = 0.0;
   fp_.types.clear();
@@ -598,30 +548,33 @@ void PlacementState::footprint_from_baseline() {
   fp_.ext_total = 0.0;
   for (MBps v : fp_.ext_vol) fp_.ext_total += v;
 
-  // Every processor the placement touches besides the candidate must fit:
-  // drained sources at their baseline values, external neighbor processors
-  // with the edge volume the placement realizes toward them.  The fresh
-  // candidate is never one of them, and its link to each neighbor processor
-  // starts at zero, so it carries exactly that edge volume.
-  const auto fits = [&](int o) {
+  // Every processor and link the placement touches besides the candidate
+  // is judged by the capacity verdict against its pre-lift value, as the
+  // literal probe would: drained sources at their baseline loads, external
+  // neighbor processors with the edge volume the placement realizes toward
+  // them.  The fresh candidate is never one of them, and its link to each
+  // neighbor processor starts at zero, so it carries exactly that volume.
+  const auto judge = [&](int o, MegaOps was_work, MBps was_nic) {
     const ProcState& p = proc(o);
     if (!p.live) return true;
     const int slot = ext_slot_[static_cast<std::size_t>(o)];
     const double ev = slot >= 0 ? fp_.ext_vol[static_cast<std::size_t>(slot)]
                                 : 0.0;
-    return fits_within(problem_.rho * p.work, cat.speed(p.cfg)) &&
-           fits_within(p.download + p.comm + ev, cat.bandwidth(p.cfg));
+    return proc_fits(p.cfg, p.work, p.download + p.comm + ev, was_work,
+                     was_nic);
   };
   bool ok = true;
-  for (int o : touched_procs_) ok = ok && fits(o);
-  for (std::size_t j = 0; j < fp_.ext_pid.size(); ++j) {
-    const int q = fp_.ext_pid[j];
-    ok = ok && fits_within(fp_.ext_vol[j], pp_links_.capacity());
-    if (proc(q).touch_epoch == txn_epoch_) continue;  // judged above
-    ok = ok && fits(q);
+  for (std::size_t i = 0; i < snap_count_; ++i) {
+    const ProcSnapshot& s = snaps_[i];
+    ok = ok && judge(s.pid, s.work, s.download + s.comm);
   }
-  // Every link the baseline touched must fit at its baseline value.
-  fp_.others_ok = ok && pp_links_.touched_within();
+  for (std::size_t j = 0; j < fp_.ext_pid.size(); ++j) {
+    const ProcState& q = proc(fp_.ext_pid[j]);
+    ok = ok && fits_within(fp_.ext_vol[j], pp_links_.capacity());
+    if (q.touch_epoch == txn_epoch_) continue;  // judged above
+    ok = ok && judge(fp_.ext_pid[j], q.work, q.download + q.comm);
+  }
+  fp_.others_ok = ok && pp_links_.touched_no_worse();
   for (int q : fp_.ext_pid) ext_slot_[static_cast<std::size_t>(q)] = -1;
 }
 
@@ -638,7 +591,7 @@ void PlacementState::can_place_on_new_batch(
 bool PlacementState::search_place(int op, int pid) {
   begin_txn(TxnMode::kTrack);
   assign_op(op, pid);
-  const bool ok = touched_feasible();
+  const bool ok = touched_no_worse();
   commit_txn();
   return ok;
 }
@@ -648,10 +601,8 @@ bool PlacementState::search_place(int op, int pid) {
 bool PlacementState::try_reconfigure(int pid, ProcessorConfig config) {
   assert(txn_mode_ == TxnMode::kNone);
   assert(is_live(pid));
-  const PriceCatalog& cat = *problem_.catalog;
   ProcState& p = proc(pid);
-  if (!fits_within(problem_.rho * p.work, cat.speed(config))) return false;
-  if (!fits_within(p.download + p.comm, cat.bandwidth(config))) return false;
+  if (!proc_fits(config, p.work, p.download + p.comm)) return false;
   p.cfg = config;
   return true;
 }
@@ -704,14 +655,10 @@ std::vector<int> PlacementState::overloaded_processors() const {
 }
 
 void PlacementState::overloaded_processors(std::vector<int>& out) const {
-  const PriceCatalog& cat = *problem_.catalog;
   out.clear();
   for (int pid : live_ids_) {
     const ProcState& p = proc(pid);
-    if (!fits_within(problem_.rho * p.work, cat.speed(p.cfg)) ||
-        !fits_within(p.download + p.comm, cat.bandwidth(p.cfg))) {
-      out.push_back(pid);
-    }
+    if (!proc_fits(p.cfg, p.work, p.download + p.comm)) out.push_back(pid);
   }
 }
 

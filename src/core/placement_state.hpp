@@ -20,8 +20,16 @@
 // (the one caveat: keeping unassigned_ops() sorted shifts up to
 // O(#unassigned) ints per moved operator — trivial next to the deep copy
 // plus full-state scan this replaces).  Heuristics can probe candidate
-// moves without corrupting the state.  Probes assume the current state is
-// feasible (every committed mutation preserves that invariant).
+// moves without corrupting the state.
+//
+// Every probe — try_place, can_place, try_absorb, the fresh-processor
+// verdicts and search_place — judges each touched capacity by one rule,
+// no_worse (util/units.hpp), against its value before the move: a capacity
+// that fit must still fit, and one already violated may stay violated as
+// long as the move did not make its load grow.  On a feasible state that is
+// plain feasibility of the touched set; on a degraded one (after a demand
+// refresh, docs/DESIGN.md §8) it lets a move drain a violation without
+// fixing it, and never lets a move create or grow one.
 //
 // `try_absorb` merges one processor into another with try_place's result
 // but moves the smaller side: when the absorbed processor is the larger one
@@ -98,8 +106,10 @@ class PlacementState {
   /// slots swap (loads, op lists, op_to_proc of the union, link endpoints),
   /// so a merge costs O(smaller side) charging plus O(union + active links)
   /// integer work.  Loads then differ from the forward move's only in
-  /// floating-point summation order.  Like every strict probe it assumes
-  /// the state is feasible.
+  /// floating-point summation order.  The verdicts agree on a feasible
+  /// state; on a degraded one the swapped direction would judge the union
+  /// against from's prior loads instead of into's, so callers absorb only
+  /// on feasible states (every caller does).
   bool try_absorb(int from, int into);
 
   /// try_place without the commit: reports feasibility only.  Non-const on
@@ -110,27 +120,8 @@ class PlacementState {
   bool can_place(const std::vector<int>& ops, int pid);
   bool can_place(int op, int pid);
 
-  // --- repair API (docs/DESIGN.md §8) --------------------------------------
-  // After a workload event mutates demands (refresh_op_demand /
-  // refresh_object_rate below), the state may be *infeasible*.  The strict
-  // probes above would then reject every move that touches a violated
-  // capacity — including the moves that drain it.  The relaxed probes use
-  // the same undo journal but judge each touched capacity against its
-  // pre-transaction snapshot: a capacity that fits passes as usual, and one
-  // that was already violated may stay violated as long as the move did not
-  // increase its excess.  A capacity that was fine before the move must
-  // still fit — a repair move may never create a new violation.
-
-  /// try_place under the relaxed verdict; commits exactly like try_place
-  /// (including auto-selling emptied sources).
-  bool try_place_relaxed(const std::vector<int>& ops, int pid);
-  bool try_place_relaxed(int op, int pid);
-  /// can_place under the relaxed verdict (probe + bit-exact rollback).
-  bool can_place_relaxed(const std::vector<int>& ops, int pid);
-  bool can_place_relaxed(int op, int pid);
-
   // --- fresh-processor verdicts (docs/DESIGN.md §10) ----------------------
-  /// Hypothetical purchases, strict verdict: verdicts[i] is true iff buying
+  /// Hypothetical purchases: verdicts[i] is true iff buying
   /// a processor of configs[i] and try_place(ops, <new pid>) would succeed —
   /// evaluated without consuming a processor id (a failed buy+sell still
   /// burns an id; the config scans of the grouping technique used to leak
@@ -172,6 +163,13 @@ class PlacementState {
   /// is kept incrementally across calls within one lift.
   int heaviest_group_neighbor(MBps* volume);
 
+  // --- repair API (docs/DESIGN.md §8) --------------------------------------
+  // A workload event mutates demands through the refresh hooks below, which
+  // may leave the state infeasible.  Repair then drains the violations with
+  // the ordinary probes above: their verdict accepts a move that shrinks a
+  // violated capacity's load, and rejects one that creates or grows a
+  // violation.
+
   /// Re-prices live processor `pid` to `config` (repair upgrade, or the
   /// downgrade-equivalent consolidation step on a live state).  Fails — and
   /// changes nothing — when the current loads do not fit the new
@@ -203,8 +201,8 @@ class PlacementState {
   /// Expert hooks for exhaustive search (ilp::ExactSolver): raw assignment
   /// updates with incremental accounting and *no* auto-selling.  `op` must
   /// be unassigned (resp. assigned).  search_place keeps the assignment
-  /// unconditionally and returns the touched-set feasibility verdict —
-  /// equal to feasible() whenever the pre-move state was feasible.  Because
+  /// unconditionally and returns the probes' touched-set verdict — equal
+  /// to feasible() whenever the pre-move state was feasible.  Because
   /// realized loads grow monotonically along a search path, a state that
   /// fails the verdict can be pruned together with all its extensions.
   bool search_place(int op, int pid);
@@ -258,9 +256,10 @@ class PlacementState {
     std::uint64_t touch_epoch = 0;  // == txn_epoch_ when touched this txn
   };
 
-  /// Value snapshot of one touched processor, taken on first touch inside a
-  /// full transaction; rollback restores it verbatim (bit-exact, unlike
-  /// replaying -= deltas on doubles).
+  /// Value snapshot of one touched processor, taken on first touch: the
+  /// scalar loads always (the verdict's baseline), the op and type lists
+  /// only in a full transaction.  Rollback restores it verbatim (bit-exact,
+  /// unlike replaying -= deltas on doubles).
   struct ProcSnapshot {
     int pid = -1;
     MegaOps work = 0.0;
@@ -270,31 +269,33 @@ class PlacementState {
     std::vector<std::pair<int, int>> type_count;
   };
 
-  /// kTrack records only the touched set (enough to validate);
-  /// kFull also snapshots state for rollback.
+  /// kTrack records the touched set and its scalar loads (enough to
+  /// validate); kFull also snapshots the lists rollback needs.
   enum class TxnMode { kNone, kTrack, kFull };
 
   void begin_txn(TxnMode mode);
   void commit_txn();
   void rollback_txn();
-  /// First-touch hook: records `pid` in the touched set (and snapshots it in
-  /// kFull mode).  Must run before any mutation of the processor.
+  /// First-touch hook: snapshots `pid` into the touched set.  Must run
+  /// before any mutation of the processor.
   void touch_proc(int pid);
-  /// Capacity check over the touched processors and links only.
-  bool touched_feasible() const;
-  /// Relaxed variant (kFull transactions only — it compares against the
-  /// snapshots): touched capacities may stay violated if already violated
-  /// at snapshot time and the excess did not grow.
+  /// The processor fit rule: CPU load rho * work within the speed of `cfg`
+  /// and NIC load within its bandwidth, each judged by no_worse against the
+  /// loads before the move.  The default zero baseline makes it plain
+  /// fits_within (a zero load fits any capacity).
+  bool proc_fits(const ProcessorConfig& cfg, MegaOps work, MBps nic,
+                 MegaOps was_work = 0.0, MBps was_nic = 0.0) const;
+  /// The capacity verdict over the touched processors (against their
+  /// snapshots) and the touched links.
   bool touched_no_worse() const;
   /// Opens a kFull transaction, moves `ops` onto `pid` (collecting the
   /// source processors in sell_candidates_) and judges the touched set.  A
   /// false verdict is already rolled back; on true the transaction stays
   /// open for the caller to commit or roll back.
-  bool stage_move(const int* ops, std::size_t n, int pid, bool relaxed);
-  /// Shared body of try_place/can_place and their relaxed variants.  Takes
-  /// a raw span so the single-op overloads pass &op without a temporary.
-  bool probe(const int* ops, std::size_t n, int pid, bool commit,
-             bool relaxed);
+  bool stage_move(const int* ops, std::size_t n, int pid);
+  /// Shared body of try_place/can_place.  Takes a raw span so the
+  /// single-op overloads pass &op without a temporary.
+  bool probe(const int* ops, std::size_t n, int pid, bool commit);
 
   /// With a non-empty group lifted, extracts what a fresh processor must
   /// offer to host it into fp_.  Reads the open baseline without changing
@@ -320,9 +321,10 @@ class PlacementState {
   // allocation) ------------------------------------------------------------
   TxnMode txn_mode_ = TxnMode::kNone;
   std::uint64_t txn_epoch_ = 0;
-  std::vector<ProcSnapshot> snaps_;  // pool; first snap_count_ are active
+  /// Pool; the first snap_count_ are the touched processors, in touch
+  /// order.
+  std::vector<ProcSnapshot> snaps_;
   std::size_t snap_count_ = 0;
-  std::vector<int> touched_procs_;
   std::vector<std::pair<int, int>> moved_ops_;  // (op, previous pid)
   std::vector<int> scratch_ops_;
   std::vector<int> sell_candidates_;

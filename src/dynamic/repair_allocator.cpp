@@ -166,12 +166,10 @@ void DynamicAllocator::refold_and_replay(const AssignmentSnapshot& prev) {
 
 namespace {
 
-/// Relaxed first-fit: commit on the first candidate the relaxed probe
-/// accepts.
-bool first_fit_relaxed(PlacementState& state, int op,
-                       const std::vector<int>& pids) {
+/// First fit: commit on the first candidate try_place accepts.
+bool first_fit(PlacementState& state, int op, const std::vector<int>& pids) {
   for (int pid : pids) {
-    if (state.try_place_relaxed(op, pid)) return true;
+    if (state.try_place(op, pid)) return true;
   }
   return false;
 }
@@ -181,18 +179,20 @@ bool first_fit_relaxed(PlacementState& state, int op,
 bool DynamicAllocator::place_unassigned(RepairReport& report) {
   // Arriving operators, bottom-up so children are seated before parents
   // (first-fit then naturally gravitates toward realized neighbors'
-  // processors via the link budget).  The relaxed probe is used so an
-  // earlier failed event (degraded state) cannot veto unrelated placements.
+  // processors via the link budget).  The probe's verdict judges only the
+  // capacities a placement touches and lets a violated one stay violated
+  // if it does not grow, so an earlier failed event (degraded state) cannot
+  // veto unrelated placements.
   std::vector<int>& order = scratch_.order;
   order.clear();
   for (int op : forest_.bottom_up_order()) {
     if (state_->proc_of(op) == kNoNode) order.push_back(op);
   }
   for (int op : order) {
-    bool placed = first_fit_relaxed(*state_, op, state_->live_processors());
+    bool placed = first_fit(*state_, op, state_->live_processors());
     if (!placed) {
       const int pid = state_->buy(catalog_.most_expensive());
-      if (state_->try_place_relaxed(op, pid)) {
+      if (state_->try_place(op, pid)) {
         ++report.procs_bought;
         placed = true;
       } else {
@@ -243,8 +243,8 @@ bool DynamicAllocator::repair_violations(RepairReport& report) {
     }
 
     // Move 2 — targeted eviction: relocate one operator off the violated
-    // resource via the relaxed probe (the source may stay violated, but no
-    // touched capacity may get worse and no new violation may appear).
+    // resource (the source may stay violated, but no touched capacity may
+    // get worse and no new violation may appear).
     // Order candidates by their contribution to the violated dimension.
     const std::vector<int>& candidates = state.ops_on(target);
     const MegaOps cpu_excess =
@@ -279,7 +279,7 @@ bool DynamicAllocator::repair_violations(RepairReport& report) {
       for (int q : state.live_processors()) {
         if (q != target) cands.push_back(q);
       }
-      if (first_fit_relaxed(state, op, cands)) {
+      if (first_fit(state, op, cands)) {
         ++report.ops_moved;
         if (!state.is_live(target)) ++report.procs_retired;
         moved = true;
@@ -293,7 +293,7 @@ bool DynamicAllocator::repair_violations(RepairReport& report) {
     const int pid = state.buy(catalog_.most_expensive());
     for (const auto& [key, op] : keyed) {
       (void)key;
-      if (state.try_place_relaxed(op, pid)) {
+      if (state.try_place(op, pid)) {
         ++report.ops_moved;
         ++report.procs_bought;
         if (!state.is_live(target)) ++report.procs_retired;
@@ -427,8 +427,9 @@ RepairReport DynamicAllocator::apply(const WorkloadEvent& event,
                "event: object type out of range");
         return rep;
       }
-      if (event.freq_hz <= 0.0) {
-        reject(EventError::kBadRate, "event: non-positive object rate");
+      if (!positive_finite(event.freq_hz)) {
+        reject(EventError::kBadRate,
+               "event: object rate must be finite and positive");
         return rep;
       }
       break;
@@ -458,8 +459,8 @@ RepairReport DynamicAllocator::apply(const WorkloadEvent& event,
                "event: arrival tree index outside the trace");
         return rep;
       }
-      if (event.rho <= 0.0) {
-        reject(EventError::kBadRho, "event: non-positive rho");
+      if (!positive_finite(event.rho)) {
+        reject(EventError::kBadRho, "event: rho must be finite and positive");
         return rep;
       }
       if (has_app(event.app_id)) {
@@ -470,8 +471,8 @@ RepairReport DynamicAllocator::apply(const WorkloadEvent& event,
       }
       break;
     case EventKind::RhoChange:
-      if (event.rho <= 0.0) {
-        reject(EventError::kBadRho, "event: non-positive rho");
+      if (!positive_finite(event.rho)) {
+        reject(EventError::kBadRho, "event: rho must be finite and positive");
         return rep;
       }
       break;

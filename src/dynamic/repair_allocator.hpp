@@ -7,8 +7,9 @@
 //     live PlacementState through the incremental refresh hooks, then only
 //     the violated processors/links are repaired with targeted moves:
 //     catalog re-purchase (upgrade in place), single-operator evictions via
-//     the relaxed transactional probes, and a bounded buy for load that fits
-//     nowhere;
+//     the transactional probes (whose verdict lets a move drain a violation
+//     it cannot fix, never create or grow one), and a bounded buy for load
+//     that fits nowhere;
 //   - structural events (application arrival/departure) rebuild the folded
 //     forest but *replay* the surviving assignment verbatim, so existing
 //     applications are not disrupted; arriving operators are placed by an
@@ -60,8 +61,8 @@ enum class EventError {
   kDuplicateArrival,  ///< AppArrival with an id that is already live
   kServerOutOfRange,
   kObjectOutOfRange,
-  kBadRate,           ///< ObjectRateChange with freq <= 0
-  kBadRho,            ///< RhoChange / AppArrival with rho <= 0
+  kBadRate,           ///< ObjectRateChange: freq NaN, infinite or <= 0
+  kBadRho,            ///< RhoChange / AppArrival: rho NaN, infinite or <= 0
   kBadArrivalTree,    ///< AppArrival tree index outside the trace
 };
 

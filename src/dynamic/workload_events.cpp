@@ -228,8 +228,7 @@ EventTrace trace_from_text(const std::string& text) {
       }
     } else if (tag == "arrival_work_scale") {
       if (!(ls >> trace.arrival_work_scale) ||
-          !std::isfinite(trace.arrival_work_scale) ||
-          trace.arrival_work_scale <= 0.0) {
+          !positive_finite(trace.arrival_work_scale)) {
         throw std::invalid_argument("trace: bad arrival_work_scale: " + line);
       }
     } else if (tag == "tree") {

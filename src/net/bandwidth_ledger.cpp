@@ -22,12 +22,6 @@ void CardLedger::remove(int r, MBps amount) {
   assert(u >= 0.0);
 }
 
-void CardLedger::set_capacity(int r, MBps capacity) {
-  assert(r >= 0 && static_cast<std::size_t>(r) < capacity_.size());
-  capacity_[static_cast<std::size_t>(r)] = capacity;
-  assert(fits_within(used_[static_cast<std::size_t>(r)], capacity));
-}
-
 LinkLedger::LinkLedger(MBps uniform_capacity) : capacity_(uniform_capacity) {}
 
 std::pair<int, int> LinkLedger::key(int a, int b) {
@@ -142,41 +136,22 @@ void LinkLedger::rollback_txn() {
   journal_.clear();
 }
 
-bool LinkLedger::touched_within() const {
-  for (const auto& e : journal_) {
-    auto it = lower(e.key);
-    if (it != used_.end() && it->first == e.key &&
-        !fits_within(it->second, capacity_)) {
-      return false;
-    }
-  }
-  return true;
-}
-
 bool LinkLedger::touched_no_worse() const {
-  // The journal may hold several entries per key; the *first* one records
-  // the pre-transaction value, which is the baseline the relaxed check
-  // compares against.  Later entries for the same key pass trivially
-  // because their stored old_value is at least as permissive a baseline as
-  // any intermediate state — checking every entry against its own recorded
-  // value would wrongly accept a link whose usage grew in two steps, so
-  // each key is judged once, against its first entry.
-  for (std::size_t i = 0; i < journal_.size(); ++i) {
-    const JournalEntry& e = journal_[i];
-    bool first = true;
-    for (std::size_t j = 0; j < i; ++j) {
-      if (journal_[j].key == e.key) {
-        first = false;
-        break;
-      }
+  for (auto e = journal_.begin(); e != journal_.end(); ++e) {
+    auto it = lower(e->key);
+    if (it == used_.end() || it->first != e->key ||
+        fits_within(it->second, capacity_)) {
+      continue;
     }
-    if (!first) continue;
-    auto it = lower(e.key);
-    const MBps now =
-        it == used_.end() || it->first != e.key ? 0.0 : it->second;
-    if (fits_within(now, capacity_)) continue;
-    const MBps before = e.existed ? e.old_value : 0.0;
-    if (!fits_within(now, before)) return false;
+    // Over capacity: judge against the pre-transaction value, which the
+    // key's *first* journal entry holds (a key may be journaled several
+    // times).  Only links over capacity pay for this lookup.
+    const auto first =
+        std::find_if(journal_.begin(), e + 1, [&](const JournalEntry& j) {
+          return j.key == e->key;
+        });
+    const MBps before = first->existed ? first->old_value : 0.0;
+    if (!no_worse(it->second, before, capacity_)) return false;
   }
   return true;
 }

@@ -33,9 +33,6 @@ class CardLedger {
   }
   void add(int r, MBps amount);
   void remove(int r, MBps amount);
-  /// Changing capacity (processor downgrade) keeps usage; caller must ensure
-  /// the new capacity still fits (checked in debug builds).
-  void set_capacity(int r, MBps capacity);
 
  private:
   std::vector<MBps> capacity_;
@@ -50,7 +47,7 @@ class CardLedger {
 /// Transactions (docs/DESIGN.md §5): between begin_txn() and commit_txn() /
 /// rollback_txn() every add/remove journals the link's prior value, so a
 /// rollback restores the pre-transaction state bit for bit, and
-/// touched_within() validates only the links the transaction touched — the
+/// touched_no_worse() judges only the links the transaction touched — the
 /// delta API the incremental placement probes are built on.
 /// rename_endpoint() relabels one endpoint outside transactions; it is how
 /// a processor slot swap (PlacementState::try_absorb) carries its links.
@@ -103,12 +100,11 @@ class LinkLedger {
   /// Links touched since begin_txn() (journal entries; a link touched twice
   /// appears twice).
   std::size_t touched_links() const { return journal_.size(); }
-  /// all_within() restricted to the links the open transaction touched.
-  bool touched_within() const;
-  /// Relaxed variant for the repair engine (docs/DESIGN.md §8): every
-  /// touched link must either fit its capacity or carry no more than it did
-  /// before the transaction began — a link that was already over capacity
-  /// may stay over, but no touched link's excess may grow.
+  /// The capacity verdict (no_worse, util/units.hpp) over the links the
+  /// open transaction touched, each against its pre-transaction value: a
+  /// link that fit must still fit, and one already over capacity may stay
+  /// over as long as its usage did not grow.  On a ledger that was within
+  /// capacity this is all_within() restricted to the touched links.
   bool touched_no_worse() const;
 
  private:

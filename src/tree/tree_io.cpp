@@ -67,12 +67,6 @@ std::string to_text(const OperatorTree& tree, double alpha,
   return out.str();
 }
 
-namespace {
-
-bool positive_finite(double v) { return std::isfinite(v) && v > 0.0; }
-
-} // namespace
-
 OperatorTree from_text(const std::string& text) {
   std::istringstream in(text);
   std::string line;

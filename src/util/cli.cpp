@@ -83,7 +83,9 @@ bool CliArgs::get_bool(const std::string& name, bool def) const {
   auto it = options_.find(name);
   if (it == options_.end()) return def;
   const std::string& v = it->second;
-  return v == "true" || v == "1" || v == "yes" || v == "on";
+  if (v == "true" || v == "1" || v == "yes" || v == "on") return true;
+  if (v == "false" || v == "0" || v == "no" || v == "off") return false;
+  reject_value(program_, name, v, "true/1/yes/on or false/0/no/off");
 }
 
 std::uint64_t CliArgs::get_u64(const std::string& name,

@@ -17,6 +17,7 @@ class CliArgs {
   std::string get(const std::string& name, const std::string& def) const;
   /// Numeric getters: a value that is malformed (`1O`, `abc`, empty) or out
   /// of range is a usage error — a message on stderr and exit code 2.
+  /// get_bool likewise takes only true/1/yes/on and false/0/no/off.
   long long get_int(const std::string& name, long long def) const;
   double get_double(const std::string& name, double def) const;
   bool get_bool(const std::string& name, bool def) const;

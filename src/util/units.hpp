@@ -11,6 +11,7 @@
 //   - throughput rho    : results per second
 #pragma once
 
+#include <cmath>
 #include <cstdint>
 
 namespace insp {
@@ -44,6 +45,10 @@ constexpr MopsPerSec ghz(double g) { return g * 1000.0; }
 
 } // namespace units
 
+/// True for a usable rate, size or throughput: finite and > 0 (NaN and
+/// +/-inf are not).
+inline bool positive_finite(double v) { return std::isfinite(v) && v > 0.0; }
+
 /// Relative/absolute tolerance used when comparing resource loads against
 /// capacities.  Loads are sums of O(10^3) doubles, so a small epsilon avoids
 /// spurious "capacity exceeded by 1e-12" failures without masking real
@@ -53,6 +58,16 @@ constexpr double kCapacityEpsilon = 1e-6;
 /// `a <= b` up to kCapacityEpsilon, scaled by magnitude of b.
 constexpr bool fits_within(double load, double capacity) {
   return load <= capacity + kCapacityEpsilon * (1.0 + (capacity > 0 ? capacity : 0.0));
+}
+
+/// The capacity verdict of a move (docs/DESIGN.md §5): the load after the
+/// move, `now`, fits; or the load before it already did not fit and the move
+/// did not make it grow.  A capacity that fit before the move must still fit
+/// after it, so on a feasible state this is exactly fits_within(now,
+/// capacity).
+constexpr bool no_worse(double now, double before, double capacity) {
+  return fits_within(now, capacity) ||
+         (!fits_within(before, capacity) && fits_within(now, before));
 }
 
 } // namespace insp

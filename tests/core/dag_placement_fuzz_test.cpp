@@ -5,16 +5,20 @@
 // docs/DESIGN.md §13 independently: a producer ships ONE copy of its
 // result to each *distinct* remote processor hosting consumers, and that
 // copy is as large as the biggest out-edge delta into that processor —
-// co-hosted consumers ride the same transfer for free.
+// co-hosted consumers ride the same transfer for free.  As there, every
+// probe result is also checked against the whole-state capacity verdict of
+// oracles/verdict_oracle.hpp.
 #include "core/placement_state.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <map>
 #include <vector>
 
+#include "oracles/verdict_oracle.hpp"
 #include "platform/catalog.hpp"
 #include "platform/platform.hpp"
 #include "tree/tree_generator.hpp"
@@ -66,8 +70,14 @@ struct Oracle {
   std::vector<std::pair<int, int>> overloaded_links;
 };
 
-Oracle recompute(const FuzzWorld& world, const PlacementState& state) {
+/// `assign` maps each operator to its processor (kNoNode: unassigned); the
+/// live processors and their configurations come from `state`.
+Oracle recompute(const FuzzWorld& world, const PlacementState& state,
+                 const std::vector<int>& assign) {
   Oracle o;
+  const auto proc_of = [&](int op) {
+    return assign[static_cast<std::size_t>(op)];
+  };
   const OperatorTree& dag = world.dag;
   const double rho = 1.0;
   o.live = state.live_processors();
@@ -75,7 +85,7 @@ Oracle recompute(const FuzzWorld& world, const PlacementState& state) {
     double work = 0.0;
     std::vector<int> types;
     for (int op = 0; op < dag.num_operators(); ++op) {
-      if (state.proc_of(op) != pid) continue;
+      if (proc_of(op) != pid) continue;
       work += dag.op(op).work;
       for (int t : dag.object_types_of(op)) types.push_back(t);
     }
@@ -91,11 +101,11 @@ Oracle recompute(const FuzzWorld& world, const PlacementState& state) {
   // Multicast dedup: one shipment per (producer, distinct remote consumer
   // processor), sized by the largest out-edge delta into that processor.
   for (int op = 0; op < dag.num_operators(); ++op) {
-    const int pc = state.proc_of(op);
+    const int pc = proc_of(op);
     if (pc == kNoNode) continue;
     std::map<int, double> dest_max;  // remote proc -> max delta
     for (const OutEdge& e : dag.op(op).out) {
-      const int q = state.proc_of(e.dst);
+      const int q = proc_of(e.dst);
       if (q == kNoNode || q == pc) continue;
       auto [it, fresh] = dest_max.emplace(q, e.delta);
       if (!fresh) it->second = std::max(it->second, e.delta);
@@ -121,6 +131,42 @@ Oracle recompute(const FuzzWorld& world, const PlacementState& state) {
     }
   }
   return o;
+}
+
+std::vector<int> assignment_of(const PlacementState& state, int n_ops) {
+  std::vector<int> assign;
+  for (int op = 0; op < n_ops; ++op) assign.push_back(state.proc_of(op));
+  return assign;
+}
+
+Oracle recompute(const FuzzWorld& world, const PlacementState& state) {
+  return recompute(world, state,
+                   assignment_of(state, world.dag.num_operators()));
+}
+
+/// The oracle's verdict on moving `ops` onto `pid`, computed on the state
+/// before the move from the current assignment and a copy with the move
+/// applied.
+verdict_oracle::Verdict oracle_verdict(const FuzzWorld& world,
+                                       const PlacementState& state,
+                                       const std::vector<int>& ops, int pid,
+                                       verdict_oracle::Coverage& coverage) {
+  std::vector<int> assign = assignment_of(state, world.dag.num_operators());
+  const Oracle before = recompute(world, state, assign);
+  for (int op : ops) assign[static_cast<std::size_t>(op)] = pid;
+  return verdict_oracle::whole_state_verdict(
+      before, recompute(world, state, assign), state, world.prices,
+      world.platform.link_proc_proc(), coverage);
+}
+
+/// Compares a probe's result with the oracle's verdict, unless the oracle
+/// called the step too close to a boundary.
+void expect_verdict(verdict_oracle::Verdict expected, bool actual, int step,
+                    const char* probe) {
+  if (expected == verdict_oracle::Verdict::kTooClose) return;
+  EXPECT_EQ(actual, expected == verdict_oracle::Verdict::kAccept)
+      << "step " << step << ": " << probe
+      << " disagrees with the whole-state capacity verdict";
 }
 
 #define FUZZ_NEAR(actual, expected)                                       \
@@ -170,6 +216,7 @@ void run_walk(std::uint64_t seed, double share_prob) {
   const int n_ops = world.dag.num_operators();
   const auto& configs = world.prices.by_cost();
   int commits = 0, rejections = 0, probes = 0;
+  verdict_oracle::Coverage verdicts;
 
   for (int step = 0; step < kSteps; ++step) {
     const std::vector<int> live = state.live_processors();
@@ -187,19 +234,17 @@ void run_walk(std::uint64_t seed, double share_prob) {
     } else if (action < 48) {
       const std::vector<int> ops = random_ops(rng, n_ops);
       const int pid = live[rng.index(live.size())];
-      const bool ok = rng.bernoulli(0.5) ? state.try_place_relaxed(ops, pid)
-                                         : state.try_place(ops, pid);
+      const auto expected = oracle_verdict(world, state, ops, pid, verdicts);
+      const bool ok = state.try_place(ops, pid);
+      expect_verdict(expected, ok, step, "try_place");
       (ok ? commits : rejections) += 1;
     } else if (action < 62) {
       // Probe-only: rollback must restore the multicast accounting exactly.
       const std::vector<int> ops = random_ops(rng, n_ops);
       const int pid = live[rng.index(live.size())];
       const double cost_before = state.total_cost();
-      if (rng.bernoulli(0.5)) {
-        state.can_place(ops, pid);
-      } else {
-        state.can_place_relaxed(ops, pid);
-      }
+      const auto expected = oracle_verdict(world, state, ops, pid, verdicts);
+      expect_verdict(expected, state.can_place(ops, pid), step, "can_place");
       ++probes;
       EXPECT_EQ(state.total_cost(), cost_before) << "step " << step;
     } else if (action < 72) {
@@ -217,7 +262,10 @@ void run_walk(std::uint64_t seed, double share_prob) {
     } else {
       const int op = static_cast<int>(rng.index(static_cast<std::size_t>(n_ops)));
       if (state.proc_of(op) == kNoNode) {
-        state.search_place(op, live[rng.index(live.size())]);
+        const int pid = live[rng.index(live.size())];
+        const auto expected = oracle_verdict(world, state, {op}, pid, verdicts);
+        expect_verdict(expected, state.search_place(op, pid), step,
+                       "search_place");
       } else {
         state.search_unassign(op);
       }
@@ -229,6 +277,14 @@ void run_walk(std::uint64_t seed, double share_prob) {
   EXPECT_GT(commits, 30);
   EXPECT_GT(rejections, 30);
   EXPECT_GT(probes, 60);
+  EXPECT_GT(verdicts.checked, 300);
+  EXPECT_LT(verdicts.too_close, verdicts.checked / 100 + 1);
+  EXPECT_GT(verdicts.drains, 0);
+  EXPECT_GT(verdicts.growths, 5);
+  std::printf("verdicts checked %ld, skipped near a boundary %ld, drains %ld, "
+              "growth refusals %ld\n",
+              verdicts.checked, verdicts.too_close, verdicts.drains,
+              verdicts.growths);
 }
 
 TEST(DagPlacementFuzz, ModerateSharingMatchesOracleEveryStep) {

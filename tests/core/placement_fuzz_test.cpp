@@ -1,22 +1,27 @@
 // Property-based invariant fuzzer for the transactional placement engine:
 // a seeded ~2000-step random walk over the full mutation surface —
-// buy/sell, strict and relaxed try_place, probe-only can_place (rollback
-// path), try_reconfigure, search_place/search_unassign, and the dynamic
-// refresh hooks — where after EVERY step the incremental accounting is
-// checked against a naive recompute-from-scratch oracle built from nothing
-// but the tree, the catalogs, and the assignment: per-processor CPU /
-// download / comm loads, pairwise link traffic, ledger overload lists, the
-// live and unassigned id lists, and the total cost.  The oracle shares no
-// code with PlacementState, so any drift the undo journal or the refresh
-// deltas introduce fails within one step of the mutation that caused it.
+// buy/sell, try_place, probe-only can_place (rollback path),
+// try_reconfigure, search_place/search_unassign, and the dynamic refresh
+// hooks — where after EVERY step the incremental accounting is checked
+// against a naive recompute-from-scratch oracle built from nothing but the
+// tree, the catalogs, and the assignment: per-processor CPU / download /
+// comm loads, pairwise link traffic, ledger overload lists, the live and
+// unassigned id lists, and the total cost.  The oracle shares no code with
+// PlacementState, so any drift the undo journal or the refresh deltas
+// introduce fails within one step of the mutation that caused it.  Every
+// try_place, can_place and search_place result is also checked against the
+// whole-state capacity verdict of oracles/verdict_oracle.hpp, on feasible
+// and degraded states alike.
 #include "core/placement_state.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <map>
 #include <vector>
 
+#include "oracles/verdict_oracle.hpp"
 #include "platform/catalog.hpp"
 #include "platform/platform.hpp"
 #include "tree/tree_generator.hpp"
@@ -72,19 +77,25 @@ struct Oracle {
   std::vector<std::pair<int, int>> overloaded_links;
 };
 
-Oracle recompute(const FuzzWorld& world, const PlacementState& state) {
+/// `assign` maps each operator to its processor (kNoNode: unassigned); the
+/// live processors and their configurations come from `state`.
+Oracle recompute(const FuzzWorld& world, const PlacementState& state,
+                 const std::vector<int>& assign) {
   Oracle o;
+  const auto proc_of = [&](int op) {
+    return assign[static_cast<std::size_t>(op)];
+  };
   const OperatorTree& tree = world.tree;
   const double rho = 1.0;
   o.live = state.live_processors();  // pids are state-internal; loads are not
   for (int op = 0; op < tree.num_operators(); ++op) {
-    if (state.proc_of(op) == kNoNode) o.unassigned.push_back(op);
+    if (proc_of(op) == kNoNode) o.unassigned.push_back(op);
   }
   for (int pid : o.live) {
     double work = 0.0;
     std::vector<int> types;
     for (int op = 0; op < tree.num_operators(); ++op) {
-      if (state.proc_of(op) != pid) continue;
+      if (proc_of(op) != pid) continue;
       work += tree.op(op).work;
       for (int t : tree.object_types_of(op)) types.push_back(t);
     }
@@ -101,8 +112,8 @@ Oracle recompute(const FuzzWorld& world, const PlacementState& state) {
   for (int child = 0; child < tree.num_operators(); ++child) {
     const int parent = tree.op(child).parent();
     if (parent == kNoNode) continue;
-    const int pc = state.proc_of(child);
-    const int pp = state.proc_of(parent);
+    const int pc = proc_of(child);
+    const int pp = proc_of(parent);
     if (pc == kNoNode || pp == kNoNode || pc == pp) continue;
     const double volume = rho * tree.op(child).output_mb;
     o.comm[pc] += volume;
@@ -123,6 +134,42 @@ Oracle recompute(const FuzzWorld& world, const PlacementState& state) {
     }
   }
   return o;
+}
+
+std::vector<int> assignment_of(const PlacementState& state, int n_ops) {
+  std::vector<int> assign;
+  for (int op = 0; op < n_ops; ++op) assign.push_back(state.proc_of(op));
+  return assign;
+}
+
+Oracle recompute(const FuzzWorld& world, const PlacementState& state) {
+  return recompute(world, state,
+                   assignment_of(state, world.tree.num_operators()));
+}
+
+/// The oracle's verdict on moving `ops` onto `pid`, computed on the state
+/// before the move from the current assignment and a copy with the move
+/// applied.
+verdict_oracle::Verdict oracle_verdict(const FuzzWorld& world,
+                                       const PlacementState& state,
+                                       const std::vector<int>& ops, int pid,
+                                       verdict_oracle::Coverage& coverage) {
+  std::vector<int> assign = assignment_of(state, world.tree.num_operators());
+  const Oracle before = recompute(world, state, assign);
+  for (int op : ops) assign[static_cast<std::size_t>(op)] = pid;
+  return verdict_oracle::whole_state_verdict(
+      before, recompute(world, state, assign), state, world.prices,
+      world.platform.link_proc_proc(), coverage);
+}
+
+/// Compares a probe's result with the oracle's verdict, unless the oracle
+/// called the step too close to a boundary.
+void expect_verdict(verdict_oracle::Verdict expected, bool actual, int step,
+                    const char* probe) {
+  if (expected == verdict_oracle::Verdict::kTooClose) return;
+  EXPECT_EQ(actual, expected == verdict_oracle::Verdict::kAccept)
+      << "step " << step << ": " << probe
+      << " disagrees with the whole-state capacity verdict";
 }
 
 #define FUZZ_NEAR(actual, expected)                                       \
@@ -178,6 +225,7 @@ TEST(PlacementFuzz, IncrementalAccountingMatchesNaiveOracleEveryStep) {
   // nothing about the paths that matter.
   int commits = 0, rejections = 0, probes = 0, reconfigures = 0;
   int refreshes = 0, searches = 0;
+  verdict_oracle::Coverage verdicts;
 
   for (int step = 0; step < kSteps; ++step) {
     const std::vector<int> live = state.live_processors();
@@ -192,12 +240,12 @@ TEST(PlacementFuzz, IncrementalAccountingMatchesNaiveOracleEveryStep) {
           break;
         }
       }
-    } else if (action < 40) {  // strict or relaxed try_place
+    } else if (action < 40) {  // committed move
       const std::vector<int> ops = random_ops(rng, n_ops);
       const int pid = live[rng.index(live.size())];
-      const bool relaxed = rng.bernoulli(0.5);
-      const bool ok = relaxed ? state.try_place_relaxed(ops, pid)
-                              : state.try_place(ops, pid);
+      const auto expected = oracle_verdict(world, state, ops, pid, verdicts);
+      const bool ok = state.try_place(ops, pid);
+      expect_verdict(expected, ok, step, "try_place");
       (ok ? commits : rejections) += 1;
     } else if (action < 55) {  // probe-only: can_place must change nothing
       const std::vector<int> ops = random_ops(rng, n_ops);
@@ -207,11 +255,8 @@ TEST(PlacementFuzz, IncrementalAccountingMatchesNaiveOracleEveryStep) {
       for (int op = 0; op < n_ops; ++op) {
         assignment_before.push_back(state.proc_of(op));
       }
-      if (rng.bernoulli(0.5)) {
-        state.can_place(ops, pid);
-      } else {
-        state.can_place_relaxed(ops, pid);
-      }
+      const auto expected = oracle_verdict(world, state, ops, pid, verdicts);
+      expect_verdict(expected, state.can_place(ops, pid), step, "can_place");
       ++probes;
       // Rollback is a bit-exact value snapshot: exact equality, no epsilon.
       EXPECT_EQ(state.total_cost(), cost_before) << "step " << step;
@@ -242,7 +287,10 @@ TEST(PlacementFuzz, IncrementalAccountingMatchesNaiveOracleEveryStep) {
     } else {  // expert search hooks: raw assign/unassign, no auto-sell
       const int op = static_cast<int>(rng.index(static_cast<std::size_t>(n_ops)));
       if (state.proc_of(op) == kNoNode) {
-        state.search_place(op, live[rng.index(live.size())]);
+        const int pid = live[rng.index(live.size())];
+        const auto expected = oracle_verdict(world, state, {op}, pid, verdicts);
+        expect_verdict(expected, state.search_place(op, pid), step,
+                       "search_place");
       } else {
         state.search_unassign(op);
       }
@@ -253,13 +301,22 @@ TEST(PlacementFuzz, IncrementalAccountingMatchesNaiveOracleEveryStep) {
     if (HasFatalFailure()) return;
   }
 
-  // The walk covered every family, and both probe verdicts.
+  // The walk covered every family, both probe verdicts, and both branches of
+  // the capacity rule that only degraded states reach.
   EXPECT_GT(commits, 50);
   EXPECT_GT(rejections, 50);
   EXPECT_GT(probes, 100);
   EXPECT_GT(reconfigures, 10);
   EXPECT_GT(refreshes, 200);
   EXPECT_GT(searches, 50);
+  EXPECT_GT(verdicts.checked, 400);
+  EXPECT_LT(verdicts.too_close, verdicts.checked / 100 + 1);
+  EXPECT_GT(verdicts.drains, 0);
+  EXPECT_GT(verdicts.growths, 5);
+  std::printf("verdicts checked %ld, skipped near a boundary %ld, drains %ld, "
+              "growth refusals %ld\n",
+              verdicts.checked, verdicts.too_close, verdicts.drains,
+              verdicts.growths);
 }
 
 } // namespace

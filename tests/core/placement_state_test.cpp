@@ -225,7 +225,7 @@ TEST(PlacementState, IncrementalLoadsMatchGroundTruthChecker) {
   }
 }
 
-// --- repair API (relaxed probes, reconfigure, demand refresh) --------------
+// --- repair API (probes on degraded states, reconfigure, demand refresh) ---
 
 namespace repairfix {
 
@@ -317,15 +317,18 @@ TEST(PlacementStateRepair, RelaxedProbeDrainsOverloadedProcessor) {
   repairfix::double_all_demands(f.tree, st);  // a at w=500, speed 300
 
   const int b = st.buy(f.catalog.most_expensive());
-  // Strict probes refuse: the source stays overloaded after one eviction
-  // (500 - 180 = 320 > 300).
-  EXPECT_FALSE(st.can_place({0}, b));
-  EXPECT_FALSE(st.try_place({0}, b));
-  // The relaxed probe accepts: a's excess shrinks, b stays feasible.
-  EXPECT_TRUE(st.try_place_relaxed({0}, b));
+  // One eviction leaves the source overloaded (500 - 180 = 320 > 300), but
+  // its load shrinks and b stays within capacity: the probe accepts, and
+  // the probe-only form agrees and changes nothing.
+  EXPECT_TRUE(st.can_place({0}, b));
+  EXPECT_EQ(st.proc_of(0), a);
+  EXPECT_NEAR(st.cpu_demand(a), 500.0, 1e-9);
+  EXPECT_TRUE(st.try_place({0}, b));
   EXPECT_FALSE(st.feasible());  // a still at 320
+  // Moving the root back would grow a's excess again: refused.
+  EXPECT_FALSE(st.can_place({0}, a));
   // A second eviction (n3, w=100) restores feasibility.
-  EXPECT_TRUE(st.try_place_relaxed({2}, b));
+  EXPECT_TRUE(st.try_place({2}, b));
   EXPECT_TRUE(st.feasible());
   EXPECT_TRUE(st.overloaded_processors().empty());
 }
@@ -336,24 +339,13 @@ TEST(PlacementStateRepair, RelaxedProbeRejectsNewViolation) {
   const int a = st.buy(f.catalog.most_expensive());
   ASSERT_TRUE(st.try_place({0, 1, 2, 3, 4}, a));
   repairfix::double_all_demands(f.tree, st);
-  // Root now has w=180 > 100: the cheap CPU cannot host it, and the relaxed
+  // Root now has w=180 > 100: the cheap CPU cannot host it, and the
   // verdict must not trade one violation for a new one.
   const int weak = st.buy(f.catalog.cheapest());
-  EXPECT_FALSE(st.try_place_relaxed({0}, weak));
+  EXPECT_FALSE(st.try_place({0}, weak));
   // The probe rolled back: the weak processor is still empty.
   EXPECT_TRUE(st.ops_on(weak).empty());
   EXPECT_EQ(st.proc_of(0), a);
-}
-
-TEST(PlacementStateRepair, RelaxedEqualsStrictOnFeasibleStates) {
-  const testhelpers::Fixture f = testhelpers::fig1a_fixture();
-  PlacementState st(f.problem());
-  const int a = st.buy(f.catalog.most_expensive());
-  const int b = st.buy(f.catalog.most_expensive());
-  ASSERT_TRUE(st.try_place({0, 1, 2}, a));
-  for (int op : {3, 4}) {
-    EXPECT_EQ(st.can_place({op}, b), st.can_place_relaxed({op}, b));
-  }
 }
 
 TEST(PlacementStateRepair, TryReconfigureSwapsConfigWhenLoadsFit) {

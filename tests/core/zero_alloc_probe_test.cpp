@@ -27,8 +27,9 @@ namespace {
 using testhelpers::Fixture;
 using testhelpers::random_fixture;
 
-/// Seats every operator somewhere (relaxed, so even tight instances end up
-/// fully assigned) and returns the state ready for steady-state probing.
+/// Seats every operator somewhere (search_place where the probe refuses, so
+/// even tight instances end up fully assigned) and returns the state ready
+/// for steady-state probing.
 PlacementState seated_state(const Fixture& f, int procs_to_buy) {
   PlacementState state(f.problem());
   const auto& configs = f.catalog.by_cost();
@@ -38,7 +39,7 @@ PlacementState seated_state(const Fixture& f, int procs_to_buy) {
   const std::vector<int> live = state.live_processors();
   const int n_ops = f.tree.num_operators();
   for (int op = 0; op < n_ops; ++op) {
-    if (!state.try_place_relaxed(op, live[op % live.size()])) {
+    if (!state.try_place(op, live[op % live.size()])) {
       state.search_place(op, live[op % live.size()]);
     }
   }
@@ -64,9 +65,7 @@ TEST(ZeroAllocProbe, SteadyStateProbesDoNotAllocate) {
       group[0] = op;
       for (int pid : live) {
         (void)state.can_place(op, pid);
-        (void)state.can_place_relaxed(op, pid);
         (void)state.can_place(group, pid);
-        (void)state.can_place_relaxed(group, pid);
       }
     }
   };
@@ -184,8 +183,8 @@ TEST(ZeroAllocProbe, CommittedMovePingPongDoesNotAllocate) {
     for (std::size_t i = 0; i < live.size() && op < 0; ++i) {
       for (std::size_t j = 0; j < live.size(); ++j) {
         if (i == j) continue;
-        if (state.try_place_relaxed(cand, live[i]) &&
-            state.try_place_relaxed(cand, live[j])) {
+        if (state.try_place(cand, live[i]) &&
+            state.try_place(cand, live[j])) {
           op = cand;
           a = live[i];
           b = live[j];
@@ -198,8 +197,8 @@ TEST(ZeroAllocProbe, CommittedMovePingPongDoesNotAllocate) {
 
   auto ping_pong = [&] {
     for (int r = 0; r < 50; ++r) {
-      ASSERT_TRUE(state.try_place_relaxed(op, a));
-      ASSERT_TRUE(state.try_place_relaxed(op, b));
+      ASSERT_TRUE(state.try_place(op, a));
+      ASSERT_TRUE(state.try_place(op, b));
     }
   };
   ping_pong();  // warmup: ledger capacity, journals, scratch
@@ -255,11 +254,11 @@ TEST(ZeroAllocProbe, RepairStyleScanDoesNotAllocate) {
   std::vector<int> over_procs;
   std::vector<std::pair<int, int>> over_links;
   std::vector<int> cands;
-  // Repair's first-fit: the relaxed probe over the candidates, stopping at
-  // the first that accepts.
+  // Repair's first-fit: the probe over the candidates, stopping at the
+  // first that accepts.
   const auto first_fit = [&](int op) {
     for (int q : cands) {
-      if (state.can_place_relaxed(op, q)) return q;
+      if (state.can_place(op, q)) return q;
     }
     return kNoNode;
   };

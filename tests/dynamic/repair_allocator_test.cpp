@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+
 #include "core/constraints.hpp"
 #include "dynamic_test_helpers.hpp"
 #include "sim/event_sim.hpp"
@@ -226,6 +228,69 @@ TEST(DynamicAllocator, OutOfRangeEventsAreRejectedNotApplied) {
   EXPECT_FALSE(engine.apply(bad_arrival, no_trace).success);
 
   EXPECT_TRUE(engine.allocation() == before);
+}
+
+TEST(DynamicAllocator, NonFiniteRhoAndRateAreRejectedNotApplied) {
+  auto w = make_world(37);
+  DynamicAllocator engine(w.apps, w.platform, w.catalog);
+  ASSERT_TRUE(engine.initialize(42).success);
+  EventTrace trace;
+  Rng gen(5);
+  TreeGenConfig tcfg;
+  tcfg.num_operators = 6;
+  tcfg.alpha = 1.0;
+  trace.arrival_trees.push_back(generate_random_tree(gen, tcfg, w.objects));
+
+  // Each bad event must be refused with its typed error and change nothing;
+  // the valid event after it must then succeed.
+  const auto refused = [&](const WorkloadEvent& bad, EventError error,
+                           const WorkloadEvent& next) {
+    const Allocation alloc = engine.allocation();
+    const Dollars cost = engine.cost();
+    const Throughput rho0 = engine.rho_of(0), rho1 = engine.rho_of(1);
+    const MBps rate0 = engine.forest().catalog().type(0).rate();
+    const RepairReport rep = engine.apply(bad, trace);
+    EXPECT_FALSE(rep.success);
+    EXPECT_EQ(rep.error, error) << to_string(rep.error);
+    EXPECT_TRUE(engine.allocation() == alloc);
+    EXPECT_EQ(engine.cost(), cost);
+    EXPECT_EQ(engine.rho_of(0), rho0);
+    EXPECT_EQ(engine.rho_of(1), rho1);
+    EXPECT_EQ(engine.forest().catalog().type(0).rate(), rate0);
+    EXPECT_EQ(engine.num_live_apps(), 2);
+    const RepairReport ok = engine.apply(next, trace);
+    EXPECT_TRUE(ok.success) << ok.failure_reason;
+  };
+  const double nan = std::nan("");
+  for (double bad : {nan, HUGE_VAL, -HUGE_VAL}) {
+    SCOPED_TRACE(bad);
+    refused(rho_event(0, bad), EventError::kBadRho,
+            rho_event(0, 0.9 * engine.rho_of(0)));
+
+    WorkloadEvent rate;
+    rate.kind = EventKind::ObjectRateChange;
+    rate.object_type = 0;
+    rate.freq_hz = bad;
+    WorkloadEvent valid_rate = rate;
+    valid_rate.freq_hz = 0.9 * engine.forest().catalog().type(0).freq_hz;
+    refused(rate, EventError::kBadRate, valid_rate);
+
+    WorkloadEvent arrive;
+    arrive.kind = EventKind::AppArrival;
+    arrive.app_id = 9;
+    arrive.rho = bad;
+    arrive.arrival_tree = 0;
+    WorkloadEvent depart;  // undoes the valid arrival below
+    depart.kind = EventKind::AppDeparture;
+    depart.app_id = 9;
+    WorkloadEvent valid_arrive = arrive;
+    valid_arrive.rho = 0.1;
+    refused(arrive, EventError::kBadRho, valid_arrive);
+    ASSERT_TRUE(engine.apply(depart, trace).success);
+  }
+  const CheckReport chk =
+      check_allocation(engine.problem(), engine.allocation());
+  EXPECT_TRUE(chk.ok()) << chk.summary();
 }
 
 TEST(DynamicAllocator, WorldSurvivesDrainingToZeroApps) {

@@ -36,15 +36,6 @@ TEST(CardLedger, EpsilonToleranceAtBoundary) {
   EXPECT_TRUE(cards.can_add(0, 0.1));
 }
 
-TEST(CardLedger, SetCapacityKeepsUsage) {
-  CardLedger cards({100.0});
-  cards.add(0, 40.0);
-  cards.set_capacity(0, 50.0);
-  EXPECT_DOUBLE_EQ(cards.capacity(0), 50.0);
-  EXPECT_DOUBLE_EQ(cards.used(0), 40.0);
-  EXPECT_FALSE(cards.can_add(0, 20.0));
-}
-
 TEST(CardLedger, RemoveToZeroCancelsDrift) {
   CardLedger cards({10.0});
   cards.add(0, 0.1);
@@ -192,10 +183,10 @@ TEST(LinkLedgerTxn, TouchedWithinChecksOnlyTouchedLinks) {
   links.add(0, 1, 80.0);  // overloaded, but outside any txn
   links.begin_txn();
   links.add(2, 3, 10.0);
-  EXPECT_TRUE(links.touched_within());  // (0,1) is not consulted
-  EXPECT_FALSE(links.all_within());     // the full scan still sees it
+  EXPECT_TRUE(links.touched_no_worse());  // (0,1) is not consulted
+  EXPECT_FALSE(links.all_within());       // the full scan still sees it
   links.add(4, 5, 60.0);
-  EXPECT_FALSE(links.touched_within());  // the new violation is touched
+  EXPECT_FALSE(links.touched_no_worse());  // the new violation is touched
   links.rollback_txn();
 }
 
@@ -204,7 +195,7 @@ TEST(LinkLedgerTxn, TouchedWithinSeesViolationOnExistingLink) {
   links.add(0, 1, 45.0);
   links.begin_txn();
   links.add(0, 1, 10.0);  // pushes the touched link over capacity
-  EXPECT_FALSE(links.touched_within());
+  EXPECT_FALSE(links.touched_no_worse());
   links.rollback_txn();
   EXPECT_DOUBLE_EQ(links.used(0, 1), 45.0);
   EXPECT_TRUE(links.all_within());
@@ -227,7 +218,7 @@ TEST(LinkLedgerTxn, TouchedNoWorseAllowsShrinkingPreexistingViolation) {
   links.add(0, 1, 80.0);  // already violated before the transaction
   links.begin_txn();
   links.remove(0, 1, 10.0);  // still violated, but strictly better
-  EXPECT_FALSE(links.touched_within());
+  EXPECT_FALSE(links.all_within());
   EXPECT_TRUE(links.touched_no_worse());
   links.rollback_txn();
 }
@@ -275,6 +266,17 @@ TEST(LinkLedgerTxn, TouchedNoWorseAcceptsWithinCapacityChanges) {
   links.add(0, 1, 40.0);
   EXPECT_TRUE(links.touched_no_worse());
   links.commit_txn();
+  // A link that fit before the transaction — here within kCapacityEpsilon
+  // of its limit — must still fit after it: ending just past the limit is
+  // a new violation even though it is within epsilon of the prior value.
+  const MBps edge = 50.0 + 0.5 * kCapacityEpsilon * 51.0;
+  links.add(2, 3, edge);
+  ASSERT_TRUE(links.all_within());
+  links.begin_txn();
+  links.add(2, 3, 0.9 * kCapacityEpsilon * 51.0);
+  ASSERT_FALSE(links.all_within());
+  EXPECT_FALSE(links.touched_no_worse());
+  links.rollback_txn();
 }
 
 } // namespace

@@ -89,6 +89,26 @@ TEST(CliDeathTest, MalformedDoubleIsAUsageError) {
               ::testing::ExitedWithCode(2), "--alpha");
 }
 
+// A boolean takes only the spellings get_bool documents: `--gate=flase`
+// must not silently switch a gate off, and `--smoke out.json` (the value
+// binds to the flag) must not silently run full mode.
+TEST(CliDeathTest, MalformedBooleanIsAUsageError) {
+  EXPECT_EXIT(make({"prog", "--gate=flase"}).get_bool("gate", false),
+              ::testing::ExitedWithCode(2), "--gate expects true/1/yes/on");
+  EXPECT_EXIT(make({"prog", "--smoke", "out.json"}).get_bool("smoke", false),
+              ::testing::ExitedWithCode(2), "got 'out.json'");
+  EXPECT_EXIT(make({"prog", "--gate="}).get_bool("gate", true),
+              ::testing::ExitedWithCode(2), "--gate");
+  const auto args = make({"prog", "--a=yes", "--b=on", "--c=1", "--d=no",
+                          "--e=off", "--f=0"});
+  for (const char* name : {"a", "b", "c"}) {
+    EXPECT_TRUE(args.get_bool(name, false)) << name;
+  }
+  for (const char* name : {"d", "e", "f"}) {
+    EXPECT_FALSE(args.get_bool(name, true)) << name;
+  }
+}
+
 TEST(Cli, WellFormedNumbersStillParse) {
   auto args = make({"prog", "--n", "-3", "--seed", "18446744073709551615",
                     "--alpha", "2.5e-1"});

@@ -46,6 +46,27 @@ TEST(Units, FitsWithinRejectsRealViolations) {
   EXPECT_FALSE(fits_within(0.1, 0.0));
 }
 
+TEST(Units, NoWorseIsFitsWithinWhenTheCapacityFitBefore) {
+  // Fit before: exactly fits_within(now, capacity), epsilon included.
+  for (double now : {0.0, 60.0, 100.0, 100.0 + 50e-6, 100.1, 150.0}) {
+    for (double before : {0.0, 40.0, 100.0, 100.0 + 50e-6}) {
+      ASSERT_TRUE(fits_within(before, 100.0));
+      EXPECT_EQ(no_worse(now, before, 100.0), fits_within(now, 100.0))
+          << "now " << now << ", before " << before;
+    }
+  }
+  // The corner: within epsilon of the limit before, just past it after —
+  // still within epsilon of the prior load, but a new violation.
+  EXPECT_FALSE(no_worse(100.0 + 120e-6, 100.0 + 50e-6, 100.0));
+}
+
+TEST(Units, NoWorseLetsAViolationShrinkButNotGrow) {
+  EXPECT_TRUE(no_worse(140.0, 150.0, 100.0));   // drained, still over
+  EXPECT_TRUE(no_worse(150.0, 150.0, 100.0));   // untouched
+  EXPECT_TRUE(no_worse(90.0, 150.0, 100.0));    // fixed
+  EXPECT_FALSE(no_worse(150.1, 150.0, 100.0));  // grew
+}
+
 TEST(Units, CalibrationAnchorsFromThePaper) {
   // The three feasibility anchors of docs/DESIGN.md §6, stated as arithmetic:
   // root work (sum leaf MB)^alpha in Mops vs the fastest CPU in Mops/s.
