@@ -20,7 +20,9 @@
 // optimum.  Larger rows keep the gap columns with zero measured events.
 //
 // --smoke shrinks the sweep to one small row for CI; --dump-trace /
-// --trace round-trip the bundled trace through the text format.
+// --trace round-trip the bundled trace through the text format.  The exit
+// code is 1 when any row has a repair failure or an event the simulator did
+// not confirm as sustained: the rows are seeded, so either is a defect.
 #include <chrono>
 #include <cstdio>
 #include <fstream>
@@ -140,6 +142,7 @@ int main(int argc, char** argv) {
   std::printf("Online re-allocation: repair vs scratch\n"
               "=======================================\n\n");
 
+  bool gate_ok = true;
   std::vector<ScaleResult> results;
   for (const Scale& scale : scales) {
     DynamicWorld world = make_dynamic_world(flags.seed, scale);
@@ -233,9 +236,19 @@ int main(int argc, char** argv) {
           r.gap_events_measured, r.gap_events_comparable, r.repair_gap_mean,
           r.repair_gap_max, r.scratch_gap_mean, r.scratch_gap_max);
     }
+    if (r.repair_failures > 0 || r.sustained < r.simulated) {
+      gate_ok = false;
+      std::printf("      GATE MISS: %d repair failures, sustained %d/%d\n",
+                  r.repair_failures, r.sustained, r.simulated);
+    }
     std::printf("\n");
   }
 
   write_json(json_path, flags.seed, results);
+  if (!gate_ok) {
+    std::fprintf(stderr, "dynamic gate failed: some row has repair failures "
+                         "or unsustained events\n");
+    return 1;
+  }
   return 0;
 }

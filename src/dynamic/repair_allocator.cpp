@@ -6,6 +6,7 @@
 #include "core/constraints.hpp"
 #include "core/downgrade.hpp"
 #include "core/local_search.hpp"
+#include "core/placement_common.hpp"
 #include "core/server_selection.hpp"
 #include "util/log.hpp"
 
@@ -179,33 +180,50 @@ bool first_fit(PlacementState& state, int op, const std::vector<int>& pids) {
 bool DynamicAllocator::place_unassigned(RepairReport& report) {
   // Arriving operators, bottom-up so children are seated before parents
   // (first-fit then naturally gravitates toward realized neighbors'
-  // processors via the link budget).  The probe's verdict judges only the
-  // capacities a placement touches and lets a violated one stay violated
-  // if it does not grow, so an earlier failed event (degraded state) cannot
-  // veto unrelated placements.
+  // processors via the link budget).  Each goes to the first live processor
+  // that takes it, else to a lone top-tier processor, else to a group: the
+  // paper's grouping step (§4.1) merges the neighbor with the most demanding
+  // edge and retries on a fresh processor, pulling members already seated.
+  // The applications of the forest share no edge, and an application with
+  // an unseated operator has never been published (a failed event keeps the
+  // last good allocation), so a group never reaches a running application.
+  // The probe's verdict judges only the capacities a placement touches and
+  // lets a violated one stay violated if it does not grow, so an earlier
+  // failed event (degraded state) cannot veto unrelated placements.
+  PlacementState& state = *state_;
+  const std::vector<int>& live = state.live_processors();
+  const int live_before = state.num_live_processors();
+  // Pids grow monotonically: every pid from here on is bought in this call.
+  const int first_new = live.empty() ? 0 : live.back() + 1;
   std::vector<int>& order = scratch_.order;
   order.clear();
   for (int op : forest_.bottom_up_order()) {
-    if (state_->proc_of(op) == kNoNode) order.push_back(op);
+    if (state.proc_of(op) == kNoNode) order.push_back(op);
   }
+  bool ok = true;
   for (int op : order) {
-    bool placed = first_fit(*state_, op, state_->live_processors());
-    if (!placed) {
-      const int pid = state_->buy(catalog_.most_expensive());
-      if (state_->try_place(op, pid)) {
-        ++report.procs_bought;
-        placed = true;
-      } else {
-        state_->sell(pid);
-      }
+    if (state.proc_of(op) != kNoNode) continue;  // seated by a group
+    if (first_fit(state, op, live)) continue;
+    const int pid = state.buy(catalog_.most_expensive());
+    if (state.try_place(op, pid)) continue;
+    state.sell(pid);
+    if (place_with_grouping(state, op, GroupConfigPolicy::CheapestFirst,
+                            nullptr)) {
+      ++report.groups_formed;
+      continue;
     }
-    if (!placed) {
-      report.failure_reason = "arrival: operator " + std::to_string(op) +
-                              " fits no processor";
-      return false;
-    }
+    report.failure_reason = "arrival: operator " + std::to_string(op) +
+                            " fits no processor";
+    ok = false;
+    break;
   }
-  return true;
+  // A group sells the processors its pulls empty, so a processor bought and
+  // sold inside this call counts as neither bought nor retired.
+  const int kept = static_cast<int>(
+      std::lower_bound(live.begin(), live.end(), first_new) - live.begin());
+  report.procs_bought += state.num_live_processors() - kept;
+  report.procs_retired += live_before - kept;
+  return ok;
 }
 
 bool DynamicAllocator::repair_violations(RepairReport& report) {

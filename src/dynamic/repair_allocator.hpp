@@ -12,8 +12,9 @@
 //     that fits nowhere;
 //   - structural events (application arrival/departure) rebuild the folded
 //     forest but *replay* the surviving assignment verbatim, so existing
-//     applications are not disrupted; arriving operators are placed by an
-//     incremental first-fit;
+//     applications are not disrupted; arriving operators are placed
+//     bottom-up by first fit, then a lone top-tier processor, then the
+//     paper's grouping step (§4.1) on a fresh processor;
 //   - server failure/recovery re-routes downloads (server selection) without
 //     touching the placement;
 //   - after every event a consolidation pass (the local-search merge_sweep,
@@ -86,10 +87,24 @@ struct RepairReport {
   /// replay signature.
   std::string fallback_reason;
   int violations_before = 0;    ///< overloaded processors+links post-event
-  int ops_moved = 0;            ///< operators whose co-residency group changed
+  /// Operators whose co-residency group changed.  Arrival placement counts
+  /// none: it seats, and its groups pull, only operators of applications
+  /// that have never been part of a published allocation (an arrival, or
+  /// one an earlier failed event left partly seated), so none of them ran.
+  /// The consolidation merge sweep is the exception: it counts every
+  /// operator it moves, including ones that arrived in the same event.
+  int ops_moved = 0;
+  /// Processors bought / retired.  Arrival placement counts the processors
+  /// it leaves live that were not live before it (and the reverse), so one
+  /// a group buys and sells again counts as neither.
   int procs_bought = 0;
   int procs_retired = 0;
   int reconfigures = 0;         ///< in-place catalog re-purchases
+  /// Arriving operators that neither first fit nor a lone top-tier
+  /// processor could seat, and that a group seated instead (one per group).
+  /// Counted even when a later step falls back to scratch.  Not part of the
+  /// replay signature.
+  int groups_formed = 0;
   Dollars cost_before = 0.0;
   Dollars cost_after = 0.0;
 };
@@ -154,8 +169,10 @@ class DynamicAllocator {
   /// Rebuilds the folded forest from apps_ and re-creates the
   /// PlacementState, replaying the snapshot's assignment verbatim.
   void refold_and_replay(const AssignmentSnapshot& prev);
-  /// Places every unassigned operator (arrivals) first-fit; buys when
-  /// nothing fits.  Returns false when some operator fits nowhere.
+  /// Places every unassigned operator (arrivals) bottom-up: first fit on a
+  /// live processor, else a lone top-tier processor, else a group grown
+  /// along the most demanding edges (place_with_grouping, CheapestFirst).
+  /// Returns false when some operator fits nowhere, even grouped.
   bool place_unassigned(RepairReport& report);
   /// Drains overloaded processors/links with reconfigure+evict+buy moves.
   bool repair_violations(RepairReport& report);

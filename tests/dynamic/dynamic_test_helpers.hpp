@@ -57,4 +57,40 @@ inline TraceGenConfig small_trace_config(int events = 40) {
   return tg;
 }
 
+/// A hand-steered world: one object type with a negligible download rate,
+/// one processor configuration (100 MegaOps/s CPU, 100 MB/s NIC) and links
+/// and server cards that never bind, so every placement verdict in the
+/// scenarios built on it comes down to CPU and NIC.
+struct HandWorld {
+  ObjectCatalog objects{{ObjectType{0, 1.0, 0.1}}};
+  Platform platform{{DataServer{0, 1e6, {0}}, DataServer{1, 1e6, {0}}},
+                    1e6, 1e6, 1};
+  PriceCatalog catalog =
+      PriceCatalog::homogeneous(CpuModel{100.0, 0.0}, NicModel{100.0, 0.0},
+                                1000.0);
+
+  /// One application over `objects`: operator i has parent parents[i]
+  /// (kNoNode for the root, and every parent precedes its children), work
+  /// work[i] and output delta[i] at rho 1; every operator without children
+  /// reads one object.
+  OperatorTree tree(const std::vector<int>& parents,
+                    const std::vector<MegaOps>& work,
+                    const std::vector<MegaBytes>& delta) const {
+    TreeBuilder b(objects);
+    std::vector<bool> has_child(parents.size(), false);
+    for (int p : parents) {
+      if (p != kNoNode) has_child[static_cast<std::size_t>(p)] = true;
+    }
+    for (int p : parents) b.add_operator(p);
+    for (std::size_t i = 0; i < parents.size(); ++i) {
+      if (!has_child[i]) b.add_leaf(static_cast<int>(i), 0);
+    }
+    OperatorTree t = b.build(1.0);
+    for (std::size_t i = 0; i < parents.size(); ++i) {
+      t.set_demand(static_cast<int>(i), work[i], delta[i]);
+    }
+    return t;
+  }
+};
+
 } // namespace insp::dyntest

@@ -3,7 +3,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <map>
 
+#include "bench_support/dynamic_world.hpp"
 #include "core/constraints.hpp"
 #include "dynamic_test_helpers.hpp"
 #include "sim/event_sim.hpp"
@@ -18,6 +20,15 @@ WorkloadEvent rho_event(int app_id, Throughput rho) {
   e.kind = EventKind::RhoChange;
   e.app_id = app_id;
   e.rho = rho;
+  return e;
+}
+
+WorkloadEvent arrival_event(int app_id, int tree) {
+  WorkloadEvent e;
+  e.kind = EventKind::AppArrival;
+  e.app_id = app_id;
+  e.rho = 1.0;
+  e.arrival_tree = tree;
   return e;
 }
 
@@ -435,6 +446,165 @@ TEST(DynamicAllocator, AlwaysFallbackModeMatchesScratchPipeline) {
   const CheckReport chk =
       check_allocation(engine.problem(), engine.allocation());
   EXPECT_TRUE(chk.ok()) << chk.summary();
+}
+
+// The running application is one operator (work 15) on one processor.  The
+// arrival's children A and B (work 40, output 60 MB/s each) first-fit onto
+// that processor; the root (work 40) then overflows its CPU, and alone on a
+// fresh processor it would receive 120 MB/s through a 100 MB/s NIC.  The
+// grouping step merges the root with A (the heavier edge; ties go to the
+// smaller id): CPU 80, NIC 60.
+TEST(DynamicAllocator, ArrivalRootThatFitsNowhereAloneIsGrouped) {
+  const dyntest::HandWorld w;
+  DynamicAllocator engine({{w.tree({kNoNode}, {15.0}, {1.0}), 1.0}},
+                          w.platform, w.catalog);
+  ASSERT_TRUE(engine.initialize(42).success);
+  EventTrace trace;
+  trace.arrival_trees.push_back(
+      w.tree({kNoNode, 0, 0}, {40.0, 40.0, 40.0}, {1.0, 60.0, 60.0}));
+  const RepairReport rep = engine.apply(arrival_event(1, 0), trace);
+  ASSERT_TRUE(rep.success) << rep.failure_reason;
+  EXPECT_FALSE(rep.used_fallback) << rep.fallback_reason;
+  EXPECT_EQ(rep.groups_formed, 1);
+  EXPECT_EQ(rep.ops_moved, 0);
+  EXPECT_EQ(rep.procs_bought, 1);
+  EXPECT_EQ(rep.procs_retired, 0);
+  // Forest ids: 0 the running operator; 1 the root, 2 A, 3 B.
+  const std::vector<int>& home = engine.allocation().op_to_proc;
+  EXPECT_EQ(home[1], home[2]);
+  EXPECT_EQ(home[3], home[0]);
+  EXPECT_NE(home[1], home[0]);
+  const CheckReport chk =
+      check_allocation(engine.problem(), engine.allocation());
+  EXPECT_TRUE(chk.ok()) << chk.summary();
+}
+
+// A group can seat operators the bottom-up loop has not reached yet, and the
+// loop must leave them where the group put them.  Arrival: root X (work 10)
+// over M (work 40) and Z (work 20); M over A and B (work 20).  Every edge
+// carries 60 MB/s.  A, B and Z first-fit beside the running operator (work
+// 10; CPU 70).  M overflows that CPU and alone would receive 120 MB/s, so
+// it grows a group along its heaviest edges (ties: smaller id): X, then A,
+// then B, which fits (CPU 90, NIC 60).  X could still move next to Z
+// without growing any load, which would split the group.
+TEST(DynamicAllocator, OperatorsSeatedByAGroupStayWithIt) {
+  const dyntest::HandWorld w;
+  DynamicAllocator engine({{w.tree({kNoNode}, {10.0}, {1.0}), 1.0}},
+                          w.platform, w.catalog);
+  ASSERT_TRUE(engine.initialize(42).success);
+  EventTrace trace;
+  trace.arrival_trees.push_back(
+      w.tree({kNoNode, 0, 1, 1, 0}, {10.0, 40.0, 20.0, 20.0, 20.0},
+             {1.0, 60.0, 60.0, 60.0, 60.0}));
+  const RepairReport rep = engine.apply(arrival_event(1, 0), trace);
+  ASSERT_TRUE(rep.success) << rep.failure_reason;
+  EXPECT_FALSE(rep.used_fallback) << rep.fallback_reason;
+  EXPECT_EQ(rep.groups_formed, 1);
+  EXPECT_EQ(rep.ops_moved, 0);
+  EXPECT_EQ(rep.procs_bought, 1);
+  // Forest ids: 0 the running operator; 1 X, 2 M, 3 A, 4 B, 5 Z.
+  const std::vector<int>& home = engine.allocation().op_to_proc;
+  EXPECT_EQ(home[1], home[2]);
+  EXPECT_EQ(home[3], home[2]);
+  EXPECT_EQ(home[4], home[2]);
+  EXPECT_EQ(home[5], home[0]);
+  EXPECT_NE(home[2], home[0]);
+  const CheckReport chk =
+      check_allocation(engine.problem(), engine.allocation());
+  EXPECT_TRUE(chk.ok()) << chk.summary();
+}
+
+// An arrival that fails outright leaves its seated operators in place, and
+// the next event, of any kind, seats the rest with the same steps; there a
+// group pulls an operator the failed event seated.  That application was
+// never published, so the pull is no move.  The running operator R (work
+// 15) takes the arrival's children A and B (work 40, output 60 MB/s each);
+// the root X (work 70) fits nowhere alone (NIC 120) and not with A (CPU
+// 110), and no scratch plan exists either.  At rho 0.9 X still fits neither
+// beside R (CPU 150) nor alone (NIC 108), but X with A fits (CPU 99).
+TEST(DynamicAllocator, GroupSeatsWhatAFailedArrivalLeftBehind) {
+  const dyntest::HandWorld w;
+  DynamicAllocator engine({{w.tree({kNoNode}, {15.0}, {1.0}), 1.0}},
+                          w.platform, w.catalog);
+  ASSERT_TRUE(engine.initialize(42).success);
+  EventTrace trace;
+  trace.arrival_trees.push_back(
+      w.tree({kNoNode, 0, 0}, {70.0, 40.0, 40.0}, {1.0, 60.0, 60.0}));
+  const RepairReport failed = engine.apply(arrival_event(1, 0), trace);
+  ASSERT_FALSE(failed.success);
+  EXPECT_EQ(failed.fallback_reason, "arrival: operator 1 fits no processor");
+  EXPECT_EQ(failed.groups_formed, 0);
+  // The last good allocation stays published: app 1 never ran.
+  ASSERT_EQ(engine.allocation().op_to_proc.size(), 1u);
+  const int home_r = engine.allocation().op_to_proc[0];
+
+  const RepairReport rep = engine.apply(rho_event(1, 0.9), trace);
+  ASSERT_TRUE(rep.success) << rep.failure_reason;
+  EXPECT_FALSE(rep.used_fallback) << rep.fallback_reason;
+  EXPECT_EQ(rep.groups_formed, 1);
+  EXPECT_EQ(rep.ops_moved, 0);
+  EXPECT_EQ(rep.procs_bought, 1);
+  EXPECT_EQ(rep.procs_retired, 0);
+  // Forest ids: 0 R; 1 X, 2 A, 3 B.
+  const std::vector<int>& home = engine.allocation().op_to_proc;
+  EXPECT_EQ(home[0], home_r);
+  EXPECT_EQ(home[3], home[0]);
+  EXPECT_EQ(home[1], home[2]);
+  EXPECT_NE(home[1], home[0]);
+  const CheckReport chk =
+      check_allocation(engine.problem(), engine.allocation());
+  EXPECT_TRUE(chk.ok()) << chk.summary();
+}
+
+// Grouping grows only inside the arriving application: the forest's
+// applications share no edge.  A running operator may still move when
+// consolidation merges two processors, but a merge moves whole processors,
+// so two running operators that shared a processor still share one, and an
+// arrival that reports no moved operator leaves them exactly as they were.
+// The processor count moves by exactly procs_bought - procs_retired.
+TEST(DynamicAllocator, ArrivalsKeepRunningOperatorsTogether) {
+  int arrivals = 0;
+  int groups = 0;
+  for (std::uint64_t seed : {1u, 2u, 9u, 42u}) {
+    benchx::DynamicWorld world = benchx::make_dynamic_world(seed, {40, 2, 24});
+    DynamicAllocator engine(world.apps, world.platform, world.catalog);
+    ASSERT_TRUE(engine.initialize(seed).success);
+    for (const WorkloadEvent& e : world.trace.events) {
+      const std::vector<int> before = engine.allocation().op_to_proc;
+      const int procs_before = engine.allocation().num_processors();
+      const RepairReport rep = engine.apply(e, world.trace);
+      ASSERT_TRUE(rep.success) << rep.failure_reason;
+      EXPECT_EQ(engine.allocation().num_processors(),
+                procs_before + rep.procs_bought - rep.procs_retired)
+          << "seed " << seed << " " << to_string(e.kind);
+      if (e.kind != EventKind::AppArrival) continue;
+      ++arrivals;
+      groups += rep.groups_formed;
+      EXPECT_FALSE(rep.used_fallback) << rep.fallback_reason;
+      // The arrival is appended, so running operators keep their ids.
+      const std::vector<int>& after = engine.allocation().op_to_proc;
+      std::map<int, int> image;     // old processor -> new processor
+      std::map<int, int> preimage;  // new processor -> old processor
+      for (std::size_t op = 0; op < before.size(); ++op) {
+        EXPECT_EQ(image.emplace(before[op], after[op]).first->second,
+                  after[op])
+            << "seed " << seed << ": running operator " << op << " split off";
+        if (rep.ops_moved == 0) {
+          EXPECT_EQ(preimage.emplace(after[op], before[op]).first->second,
+                    before[op])
+              << "seed " << seed << ": running operator " << op << " moved";
+        }
+      }
+      if (rep.ops_moved == 0) {
+        EXPECT_EQ(rep.procs_retired, 0);
+      }
+      const CheckReport chk =
+          check_allocation(engine.problem(), engine.allocation());
+      EXPECT_TRUE(chk.ok()) << chk.summary();
+    }
+  }
+  EXPECT_GT(arrivals, 0);
+  EXPECT_GE(groups, 1);
 }
 
 } // namespace

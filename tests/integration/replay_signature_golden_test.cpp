@@ -14,6 +14,7 @@
 #include <string>
 
 #include "bench_support/dynamic_world.hpp"
+#include "dynamic/dynamic_test_helpers.hpp"
 #include "dynamic/scenario_engine.hpp"
 #include "harness/chaos_world.hpp"
 #include "harness/reporting.hpp"
@@ -62,18 +63,42 @@ TEST(ReplaySignatureGolden, BenchDynamicSmokeSignatureIsPinned) {
 TEST(ReplaySignatureGolden, BenchDynamicSmokeFallbackKeepsItsReason) {
   const auto golden = load_golden();
   ASSERT_TRUE(golden.count("bench_dynamic_smoke"));
-  // The same replay as above: its trace holds an arrival that targeted
-  // repair cannot seat, so the scratch fallback runs and succeeds — which
-  // clears failure_reason.  The reason it fired survives in
-  // fallback_reason, and recording it leaves the trajectory unchanged.
+  // The same replay as above.  Its arrivals are seated in place (the
+  // grouping step of paper §4.1 seats the one that no processor takes
+  // alone), so no event falls back, no event records a fallback reason, and
+  // recording one leaves the trajectory unchanged.
   DynamicWorld world = make_dynamic_world(42, {40, 2, 24});
   ScenarioOptions opts;
   opts.seed = 42;
   opts.simulate = false;
-  const ScenarioResult result = replay_trace(
+  const ScenarioResult smoke = replay_trace(
       world.apps, world.platform, world.catalog, world.trace, opts);
-  EXPECT_EQ(hex16(result.signature),
-            hex16(golden.at("bench_dynamic_smoke")));
+  EXPECT_EQ(hex16(smoke.signature), hex16(golden.at("bench_dynamic_smoke")));
+  for (const EventOutcome& out : smoke.outcomes) {
+    EXPECT_FALSE(out.repair.used_fallback) << out.repair.fallback_reason;
+    EXPECT_TRUE(out.repair.fallback_reason.empty());
+  }
+
+  // A world that still needs the fallback.  One application, the chain
+  // root <- m1 <- m2 <- leaf, work 30 each; the edges into the root and out
+  // of the leaf carry 120 MB/s at rho 1, the middle one 40.  At rho 0.5 it
+  // fits one 100 MegaOps/s processor.  Doubling rho overloads that CPU, and
+  // every single-operator eviction would cut a 120 MB/s edge through a
+  // 100 MB/s NIC, so targeted repair cannot drain it.  The scratch
+  // re-allocation splits the chain at its middle edge and succeeds, which
+  // clears failure_reason: the reason it fired survives in fallback_reason.
+  const dyntest::HandWorld w;
+  EventTrace trace;
+  WorkloadEvent doubling;
+  doubling.kind = EventKind::RhoChange;
+  doubling.app_id = 0;
+  doubling.rho = 1.0;
+  trace.events.push_back(doubling);
+  const ScenarioResult result = replay_trace(
+      {{w.tree({kNoNode, 0, 1, 2}, {30.0, 30.0, 30.0, 30.0},
+               {1.0, 120.0, 40.0, 120.0}),
+        0.5}},
+      w.platform, w.catalog, trace, opts);
   int fallbacks = 0;
   for (const EventOutcome& out : result.outcomes) {
     if (!out.repair.used_fallback) {
@@ -83,7 +108,7 @@ TEST(ReplaySignatureGolden, BenchDynamicSmokeFallbackKeepsItsReason) {
     ++fallbacks;
     EXPECT_TRUE(out.repair.success);
     EXPECT_TRUE(out.repair.failure_reason.empty());
-    EXPECT_EQ(out.repair.fallback_reason.rfind("arrival:", 0), 0u)
+    EXPECT_EQ(out.repair.fallback_reason.rfind("repair:", 0), 0u)
         << out.repair.fallback_reason;
   }
   EXPECT_GE(fallbacks, 1);
