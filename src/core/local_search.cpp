@@ -6,6 +6,7 @@
 
 #include "core/downgrade.hpp"
 #include "util/log.hpp"
+#include "util/units.hpp"
 
 namespace insp {
 
@@ -42,6 +43,15 @@ std::optional<Dollars> projected_merged_cost(const PlacementState& state,
   const auto cfg = cat.cheapest_meeting(cpu, download + comm);
   if (!cfg) return std::nullopt;
   return cat.cost(*cfg);
+}
+
+// merge_sweep's pre-verdict (see its doc comment): false only when `into`'s
+// CPU cannot hold the merged load `merged_cpu` by the rule try_place applies
+// to it.  The 1e-9 margin keeps it the more lenient of the two.
+bool cpu_may_host(const PlacementState& state, int into, MegaOps merged_cpu) {
+  const PriceCatalog& cat = *state.problem().catalog;
+  return no_worse(merged_cpu * (1.0 - 1e-9), state.cpu_demand(into),
+                  cat.speed(state.config(into)));
 }
 
 // refine_placement stops at a fixpoint or after this many passes.
@@ -82,6 +92,14 @@ bool relocation_pass(PlacementState& state, LocalSearchStats& stats) {
 
 } // namespace
 
+bool merge_promises_saving(const PlacementState& state, int a, int b) {
+  const auto merged = projected_merged_cost(state, a, b);
+  if (!merged) return false;
+  const Dollars pair_cost = projected_processor_cost(state, a) +
+                            projected_processor_cost(state, b);
+  return *merged < pair_cost - 1e-9;
+}
+
 MergeSweepResult merge_sweep(PlacementState& state) {
   MergeSweepResult result;
   const std::vector<int> procs = state.live_processors();
@@ -89,23 +107,25 @@ MergeSweepResult merge_sweep(PlacementState& state) {
     for (std::size_t j = i + 1; j < procs.size(); ++j) {
       const int a = procs[i], b = procs[j];
       if (!state.is_live(a) || !state.is_live(b)) continue;
-      const auto merged = projected_merged_cost(state, a, b);
-      if (!merged) continue;
-      const Dollars pair_cost = projected_processor_cost(state, a) +
-                                projected_processor_cost(state, b);
-      if (*merged >= pair_cost - 1e-9) continue;
+      if (!merge_promises_saving(state, a, b)) continue;
+      ++result.tried;
+      const MegaOps cpu = state.cpu_demand(a) + state.cpu_demand(b);
       // Prefer moving the lighter processor.
       const int from =
           state.ops_on(a).size() <= state.ops_on(b).size() ? a : b;
       const int to = from == a ? b : a;
       const int moved_fwd = static_cast<int>(state.ops_on(from).size());
       const int moved_rev = static_cast<int>(state.ops_on(to).size());
-      if (state.try_place(state.ops_on(from), to)) {
+      if (cpu_may_host(state, to, cpu) &&
+          state.try_place(state.ops_on(from), to)) {
         ++result.merges;
         result.ops_moved += moved_fwd;
-      } else if (state.try_place(state.ops_on(to), from)) {
+      } else if (cpu_may_host(state, from, cpu) &&
+                 state.try_place(state.ops_on(to), from)) {
         ++result.merges;
         result.ops_moved += moved_rev;
+      } else {
+        ++result.failed;
       }
     }
   }

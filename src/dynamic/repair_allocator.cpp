@@ -14,7 +14,7 @@ namespace insp {
 
 namespace {
 
-/// Heuristic tried first by the initial allocation and the scratch fallback.
+/// The planner of the initial allocation and the scratch fallback.
 constexpr HeuristicKind kFallbackHeuristic = HeuristicKind::SubtreeBottomUp;
 
 } // namespace
@@ -337,6 +337,8 @@ void DynamicAllocator::consolidate(RepairReport& report) {
   const MergeSweepResult merged = merge_sweep(*state_);
   report.ops_moved += merged.ops_moved;
   report.procs_retired += merged.merges;
+  report.merges_tried += merged.tried;
+  report.merges_failed += merged.failed;
   // Re-pricing pass: the downgrade step, applied in place to the live
   // state (strictly cheaper configurations only).
   for (int pid : state_->live_processors()) {
@@ -391,31 +393,21 @@ bool DynamicAllocator::fallback_scratch(RepairReport& report) {
   const Problem prob = problem();
   const int previously_assigned =
       forest_.num_operators() - (state_ ? state_->num_unassigned() : 0);
-  // Try SubtreeBottomUp first, then every other paper heuristic: a scratch
-  // failure must mean no registered pipeline can host the world.
-  std::vector<HeuristicKind> kinds{kFallbackHeuristic};
-  for (HeuristicKind k : all_heuristics()) {
-    if (k != kFallbackHeuristic) kinds.push_back(k);
+  Rng r = rng_.split();
+  const AllocationOutcome out = allocate(prob, kFallbackHeuristic, r);
+  if (!out.success) {
+    report.failure_reason = "scratch: " + out.failure_reason;
+    return false;
   }
-  for (HeuristicKind kind : kinds) {
-    Rng r = rng_.split();
-    const AllocationOutcome out = allocate(prob, kind, r);
-    if (!out.success) {
-      report.failure_reason = "scratch: " + out.failure_reason;
-      continue;
-    }
-    // Scratch re-allocation disrupts every running operator: the plan is
-    // rebuilt with no continuity guarantee.
-    report.ops_moved += previously_assigned;
-    report.procs_retired +=
-        state_ ? state_->num_live_processors() : 0;
-    report.procs_bought += out.num_processors;
-    alloc_ = out.allocation;
-    adopt_allocation(alloc_);
-    report.failure_reason.clear();
-    return true;
-  }
-  return false;
+  // Scratch re-allocation disrupts every running operator: the plan is
+  // rebuilt with no continuity guarantee.
+  report.ops_moved += previously_assigned;
+  report.procs_retired += state_ ? state_->num_live_processors() : 0;
+  report.procs_bought += out.num_processors;
+  alloc_ = out.allocation;
+  adopt_allocation(alloc_);
+  report.failure_reason.clear();
+  return true;
 }
 
 RepairReport DynamicAllocator::apply(const WorkloadEvent& event,

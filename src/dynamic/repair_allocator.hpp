@@ -105,6 +105,11 @@ struct RepairReport {
   /// Counted even when a later step falls back to scratch.  Not part of the
   /// replay signature.
   int groups_formed = 0;
+  /// The consolidation sweep's MergeSweepResult::tried / failed: pairs
+  /// whose projection promised a saving, and those of them that merged in
+  /// neither direction.  Not part of the replay signature.
+  int merges_tried = 0;
+  int merges_failed = 0;
   Dollars cost_before = 0.0;
   Dollars cost_after = 0.0;
 };
@@ -120,8 +125,8 @@ class DynamicAllocator {
   DynamicAllocator(const DynamicAllocator&) = delete;
   DynamicAllocator& operator=(const DynamicAllocator&) = delete;
 
-  /// From-scratch initial allocation (SubtreeBottomUp, then every other
-  /// registered paper heuristic if it fails).  `seed` also seeds the RNG
+  /// From-scratch initial allocation (SubtreeBottomUp; the world fails to
+  /// initialize when it fails).  `seed` also seeds the RNG
   /// used by any later fallback run, so the whole trajectory is
   /// deterministic given (world, trace, seed).
   RepairReport initialize(std::uint64_t seed);
@@ -140,6 +145,11 @@ class DynamicAllocator {
   /// Finished allocation (download routes included) after the last event.
   const Allocation& allocation() const { return alloc_; }
   Dollars cost() const { return alloc_.total_cost(catalog_); }
+  /// The live placement state the repair passes edit; nullptr when there is
+  /// none (before initialize(), or once every application has left).
+  const PlacementState* placement_state() const {
+    return state_ ? &*state_ : nullptr;
+  }
   int num_live_apps() const { return static_cast<int>(apps_.size()); }
   bool has_app(int app_id) const;
   /// Current throughput target of a live application.
@@ -179,7 +189,8 @@ class DynamicAllocator {
   /// merge_sweep (core/local_search.hpp) + cheapest-meeting re-pricing on
   /// the feasible state.
   void consolidate(RepairReport& report);
-  /// Full from-scratch re-allocation of the current problem.
+  /// Full from-scratch re-allocation of the current problem with
+  /// SubtreeBottomUp; false (a `scratch:` failure_reason) when it fails.
   bool fallback_scratch(RepairReport& report);
   /// Re-runs server selection + full validation into alloc_.
   bool finish_allocation(RepairReport& report);

@@ -8,12 +8,50 @@
 #include "core/downgrade.hpp"
 #include "core/placement_heuristics.hpp"
 #include "core/server_selection.hpp"
+#include "dynamic/dynamic_test_helpers.hpp"
+#include "oracles/merge_sweep_reference.hpp"
 
 namespace insp {
 namespace {
 
 using testhelpers::Fixture;
 using testhelpers::fig1a_fixture;
+
+// Hand-built merge scenarios: dyntest::HandWorld's objects and platform
+// (negligible downloads, links and server cards that never bind) under a
+// two-CPU catalog, so each merge verdict comes down to the receiver's CPU.  The tree is a root
+// (op 0) with two children (ops 1 and 2); `b` hosts ops 0 and 1 and `a`
+// hosts op 2, so `a` is the lighter side and the sweep moves it onto `b`
+// first.
+constexpr ProcessorConfig kSmall{0, 0};  // 25 MegaOps/s, $1000
+constexpr ProcessorConfig kLarge{1, 0};  // 100 MegaOps/s, $1100
+
+struct MergeScene {
+  dyntest::HandWorld w;
+  PriceCatalog catalog{1000.0, {CpuModel{25.0, 0.0}, CpuModel{100.0, 100.0}},
+                       {NicModel{100.0, 0.0}}};
+  OperatorTree tree;
+  Problem problem;
+
+  explicit MergeScene(const std::vector<MegaOps>& work)
+      : tree(w.tree({kNoNode, 0, 0}, work, {1.0, 1.0, 1.0})) {
+    problem.tree = &tree;
+    problem.platform = &w.platform;
+    problem.catalog = &catalog;
+  }
+
+  // Buys `b` then `a` and seats ops 0 and 1 on b, op 2 on a.
+  PlacementState place(ProcessorConfig b_cfg, ProcessorConfig a_cfg, int& a,
+                       int& b) const {
+    PlacementState state(problem);
+    b = state.buy(b_cfg);
+    a = state.buy(a_cfg);
+    EXPECT_TRUE(state.try_place(0, b));
+    EXPECT_TRUE(state.try_place(1, b));
+    EXPECT_TRUE(state.try_place(2, a));
+    return state;
+  }
+};
 
 TEST(LocalSearch, MergesScatteredProcessors) {
   // Random placement: one cheap processor per operator; local search should
@@ -67,9 +105,70 @@ TEST(LocalSearch, MergeSweepReportsMergesAndMovedOperators) {
   const int before = state.num_live_processors();
   const MergeSweepResult r = merge_sweep(state);
   EXPECT_GT(r.merges, 0);
+  EXPECT_EQ(r.merges, r.tried - r.failed);
   EXPECT_GE(r.ops_moved, r.merges);
   EXPECT_EQ(state.num_live_processors(), before - r.merges);
   EXPECT_TRUE(state.feasible());
+}
+
+TEST(LocalSearch, PreVerdictSkipsForwardAndReverseMergeCommits) {
+  // b (25 MegaOps/s) holds 20, a (100 MegaOps/s) holds 10: the merged 30
+  // does not fit b, so the forward move of a onto b is never staged, and
+  // the reverse move of b's two operators onto a commits.  The merge is
+  // promised: one large processor ($1100) under two small ones ($2000).
+  const MergeScene scene({10.0, 10.0, 10.0});
+  int a = kNoNode, b = kNoNode;
+  PlacementState state = scene.place(kSmall, kLarge, a, b);
+  ASSERT_TRUE(merge_promises_saving(state, a, b));
+  ASSERT_GT(state.cpu_demand(a) + state.cpu_demand(b),
+            scene.catalog.speed(state.config(b)) *
+                (1.0 + kCapacityEpsilon) + kCapacityEpsilon);
+  PlacementState ref = state;
+
+  const MergeSweepResult r = merge_sweep(state);
+  EXPECT_EQ(r, (MergeSweepResult{1, 2, 1, 0}));
+  EXPECT_EQ(r, merge_sweep_probe_all(ref));
+  EXPECT_EQ(state.live_processors(), std::vector<int>{a});
+  EXPECT_EQ(state.config(a), kLarge);
+  EXPECT_DOUBLE_EQ(state.cpu_demand(a), 30.0);
+  EXPECT_TRUE(state.feasible());
+}
+
+TEST(LocalSearch, PreVerdictCountsAPairNeitherSideCanHost) {
+  // Both sides small: the merged 40 fits neither 25 MegaOps/s receiver.
+  const MergeScene scene({10.0, 10.0, 20.0});
+  int a = kNoNode, b = kNoNode;
+  PlacementState state = scene.place(kSmall, kSmall, a, b);
+  ASSERT_TRUE(merge_promises_saving(state, a, b));
+  const Allocation before = state.to_allocation();
+  PlacementState ref = state;
+
+  const MergeSweepResult r = merge_sweep(state);
+  EXPECT_EQ(r, (MergeSweepResult{0, 0, 1, 1}));
+  EXPECT_EQ(r, merge_sweep_probe_all(ref));
+  EXPECT_EQ(state.to_allocation(), before);
+}
+
+TEST(LocalSearch, PreVerdictProbesAMergeWithinTheCapacityEpsilon) {
+  // The merged load lands above the receiver's 100 MegaOps/s speed but
+  // within kCapacityEpsilon of it, up to just below the fit boundary:
+  // try_place accepts each one, so the pre-verdict's margin must not
+  // reject it.
+  const double slack = kCapacityEpsilon * (1.0 + 100.0);
+  for (double frac : {0.0, 0.5, 0.99, 0.999999}) {
+    const MergeScene scene({25.0, 25.0, 50.0 + frac * slack});
+    int a = kNoNode, b = kNoNode;
+    PlacementState state = scene.place(kLarge, kLarge, a, b);
+    ASSERT_TRUE(merge_promises_saving(state, a, b)) << frac;
+    ASSERT_GE(state.cpu_demand(a) + state.cpu_demand(b), 100.0) << frac;
+    PlacementState ref = state;
+
+    const MergeSweepResult r = merge_sweep(state);
+    EXPECT_EQ(r, (MergeSweepResult{1, 1, 1, 0})) << frac;
+    EXPECT_EQ(r, merge_sweep_probe_all(ref)) << frac;
+    EXPECT_EQ(state.live_processors(), std::vector<int>{b}) << frac;
+    EXPECT_EQ(state.ops_on(b).size(), 3u) << frac;
+  }
 }
 
 TEST(LocalSearch, PipelineFlagProducesValidCheaperOrEqualPlans) {

@@ -58,6 +58,20 @@ TEST(ReplaySignatureGolden, BenchDynamicSmokeSignatureIsPinned) {
       world.apps, world.platform, world.catalog, world.trace, opts);
   EXPECT_EQ(hex16(result.signature),
             hex16(golden.at("bench_dynamic_smoke")));
+  // Each event reports its consolidation sweep's tried and failed merges
+  // outside the signature; the merges that succeeded are among the
+  // processors it retired.
+  int tried = 0;
+  for (const EventOutcome& out : result.outcomes) {
+    const RepairReport& rep = out.repair;
+    EXPECT_GE(rep.merges_failed, 0);
+    EXPECT_LE(rep.merges_failed, rep.merges_tried);
+    if (!rep.used_fallback) {
+      EXPECT_GE(rep.procs_retired, rep.merges_tried - rep.merges_failed);
+    }
+    tried += rep.merges_tried;
+  }
+  EXPECT_GT(tried, 0);
 }
 
 TEST(ReplaySignatureGolden, BenchDynamicSmokeFallbackKeepsItsReason) {
