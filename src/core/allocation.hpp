@@ -3,7 +3,6 @@
 // each basic object it needs (the DL(u) sets of the paper).
 #pragma once
 
-#include <map>
 #include <string>
 #include <utility>
 #include <vector>
@@ -58,15 +57,19 @@ std::vector<ProcessorLoads> compute_processor_loads(const Problem& problem,
 /// behind the checker's constraints (3)-(5), the flow analyzer and the
 /// utilization report.
 struct LinkLoads {
-  std::vector<MBps> server_card;                   ///< per server, (3)
-  std::map<std::pair<int, int>, MBps> server_proc; ///< (server, proc), (4)
-  std::map<std::pair<int, int>, MBps> proc_proc;   ///< (lo, hi) procs, (5)
+  /// One loaded link: (key, load).  The pair lists are flat vectors sorted
+  /// by key with one entry per link, iterated like the maps they replace.
+  using Entry = std::pair<std::pair<int, int>, MBps>;
+  std::vector<MBps> server_card;   ///< per server, (3)
+  std::vector<Entry> server_proc;  ///< (server, proc), (4)
+  std::vector<Entry> proc_proc;    ///< (lo, hi) procs, (5)
 };
 
 /// Recomputes link loads from scratch.  Download routes naming an unknown
 /// server or object type are skipped (the checker reports them as
 /// DownloadRouting violations); the processor pairs follow the multicast
-/// rule of OperatorTree::visit_shipments.
+/// rule of OperatorTree::visit_shipments.  Each link's load is its
+/// contributions summed from 0.0 in visit order (docs/DESIGN.md §11).
 LinkLoads compute_link_loads(const Problem& problem, const Allocation& alloc);
 
 /// Distinct object types needed on each processor, sorted ascending.

@@ -1,6 +1,6 @@
 #include "core/constraints.hpp"
 
-#include <set>
+#include <algorithm>
 #include <sstream>
 
 namespace insp {
@@ -85,19 +85,28 @@ class Checker {
 
   void check_downloads() {
     const auto needed = needed_types_per_processor(p_, a_);
+    const int num_types = p_.tree->catalog().count();
+    // last_proc[t]: the last processor that routed type t, which flags a
+    // repeat in route order; `routed` collects each processor's distinct
+    // routed types and is sorted before the two set differences.
+    std::vector<int> last_proc(static_cast<std::size_t>(num_types), -1);
+    std::vector<int> routed;
     for (std::size_t u = 0; u < a_.processors.size(); ++u) {
-      std::set<int> routed;
+      routed.clear();
       for (const auto& dl : a_.processors[u].downloads) {
-        if (dl.object_type < 0 ||
-            dl.object_type >= p_.tree->catalog().count()) {
+        if (dl.object_type < 0 || dl.object_type >= num_types) {
           fail(ViolationKind::DownloadRouting,
                "P" + std::to_string(u) + " downloads unknown type");
           continue;
         }
-        if (!routed.insert(dl.object_type).second) {
+        int& last = last_proc[static_cast<std::size_t>(dl.object_type)];
+        if (last == static_cast<int>(u)) {
           fail(ViolationKind::DownloadRouting,
                "P" + std::to_string(u) + " downloads type " +
                    std::to_string(dl.object_type) + " twice");
+        } else {
+          last = static_cast<int>(u);
+          routed.push_back(dl.object_type);
         }
         if (dl.server < 0 || dl.server >= p_.platform->num_servers()) {
           fail(ViolationKind::DownloadRouting,
@@ -111,16 +120,17 @@ class Checker {
                    std::to_string(dl.server) + " which does not host it");
         }
       }
-      const std::set<int> need(needed[u].begin(), needed[u].end());
+      std::sort(routed.begin(), routed.end());
+      const std::vector<int>& need = needed[u];  // sorted ascending
       for (int t : need) {
-        if (!routed.count(t)) {
+        if (!std::binary_search(routed.begin(), routed.end(), t)) {
           fail(ViolationKind::DownloadRouting,
                "P" + std::to_string(u) + " misses a route for type " +
                    std::to_string(t));
         }
       }
       for (int t : routed) {
-        if (!need.count(t)) {
+        if (!std::binary_search(need.begin(), need.end(), t)) {
           fail(ViolationKind::DownloadRouting,
                "P" + std::to_string(u) + " routes unneeded type " +
                    std::to_string(t));

@@ -3,7 +3,6 @@
 #include <limits>
 
 #include <algorithm>
-#include <map>
 #include <sstream>
 
 #include "net/bandwidth_ledger.hpp"
@@ -18,11 +17,17 @@ struct Demand {
   int type;
 };
 
+/// Every (processor, needed type) demand, processors ascending and types
+/// ascending within one; reserves each processor's download list.
 std::vector<Demand> collect_demands(const Problem& problem,
-                                    const Allocation& alloc) {
-  std::vector<Demand> out;
+                                    Allocation& alloc) {
   const auto needed = needed_types_per_processor(problem, alloc);
+  std::size_t total = 0;
+  for (const auto& types : needed) total += types.size();
+  std::vector<Demand> out;
+  out.reserve(total);
   for (std::size_t u = 0; u < needed.size(); ++u) {
+    alloc.processors[u].downloads.reserve(needed[u].size());
     for (int t : needed[u]) {
       out.push_back({static_cast<int>(u), t});
     }
@@ -102,54 +107,50 @@ ServerSelectionResult select_servers_three_loop(const Problem& problem,
   };
 
   std::vector<Demand> pending = collect_demands(problem, alloc);
+  // Loops 1 and 2 compact `pending` in place, keeping the demands they
+  // leave in their original order.
+  std::size_t kept = 0;
 
   // ---- Loop 1: types with a single hosting server have no choice. --------
-  {
-    std::vector<Demand> still;
-    for (const auto& d : pending) {
-      const auto& hosts = plat.servers_with(d.type);
-      if (hosts.empty()) {
-        return {false, "object type " + std::to_string(d.type) +
-                           " is hosted by no server"};
-      }
-      if (hosts.size() == 1) {
-        const int s = hosts.front();
-        if (!can_route(s, d.proc, rate_of(d.type))) {
-          std::ostringstream ss;
-          ss << "loop1: exclusive server S" << s << " cannot sustain type "
-             << d.type << " for P" << d.proc;
-          return {false, ss.str()};
-        }
-        route(s, d.proc, d.type);
-      } else {
-        still.push_back(d);
-      }
+  for (const auto& d : pending) {
+    const auto& hosts = plat.servers_with(d.type);
+    if (hosts.empty()) {
+      return {false, "object type " + std::to_string(d.type) +
+                         " is hosted by no server"};
     }
-    pending = std::move(still);
+    if (hosts.size() == 1) {
+      const int s = hosts.front();
+      if (!can_route(s, d.proc, rate_of(d.type))) {
+        std::ostringstream ss;
+        ss << "loop1: exclusive server S" << s << " cannot sustain type "
+           << d.type << " for P" << d.proc;
+        return {false, ss.str()};
+      }
+      route(s, d.proc, d.type);
+    } else {
+      pending[kept++] = d;
+    }
   }
+  pending.resize(kept);
 
   // ---- Loop 2: prefer servers that host a single object type. ------------
-  {
-    std::vector<Demand> still;
-    for (const auto& d : pending) {
-      bool routed = false;
-      for (int s : plat.servers_with(d.type)) {
-        if (plat.server(s).object_types.size() == 1 &&
-            can_route(s, d.proc, rate_of(d.type))) {
-          route(s, d.proc, d.type);
-          routed = true;
-          break;
-        }
+  kept = 0;
+  for (const auto& d : pending) {
+    bool routed = false;
+    for (int s : plat.servers_with(d.type)) {
+      if (plat.server(s).object_types.size() == 1 &&
+          can_route(s, d.proc, rate_of(d.type))) {
+        route(s, d.proc, d.type);
+        routed = true;
+        break;
       }
-      if (!routed) still.push_back(d);
     }
-    pending = std::move(still);
+    if (!routed) pending[kept++] = d;
   }
+  pending.resize(kept);
 
   // ---- Loop 3: remaining demands, types by decreasing nbP/nbS. -----------
   {
-    std::map<int, int> nbP;  // type -> #processors still needing it
-    for (const auto& d : pending) ++nbP[d.type];
     auto nbS = [&](int type) {
       int n = 0;
       const MBps r = rate_of(type);
@@ -158,23 +159,38 @@ ServerSelectionResult select_servers_three_loop(const Problem& problem,
       }
       return n;
     };
-    std::vector<int> types;
-    std::map<int, double> ratio;
-    for (const auto& [t, np] : nbP) {
+    // Group the demands by type, each type's in pending order: one run per
+    // type, whose length is nbP(type).
+    std::stable_sort(pending.begin(), pending.end(),
+                     [](const Demand& a, const Demand& b) {
+                       return a.type < b.type;
+                     });
+    struct Run {
+      int type;
+      std::size_t begin, end;  ///< the type's demands in `pending`
+      double ratio;            ///< nbP / nbS
+    };
+    std::vector<Run> runs;
+    for (std::size_t i = 0; i < pending.size();) {
+      const int t = pending[i].type;
+      std::size_t j = i;
+      while (j < pending.size() && pending[j].type == t) ++j;
       const int ns = nbS(t);
-      ratio[t] = ns == 0 ? std::numeric_limits<double>::infinity()
-                         : static_cast<double>(np) / ns;
-      types.push_back(t);
+      runs.push_back({t, i, j,
+                      ns == 0 ? std::numeric_limits<double>::infinity()
+                              : static_cast<double>(j - i) / ns});
+      i = j;
     }
-    std::sort(types.begin(), types.end(), [&](int a, int b) {
-      if (ratio[a] != ratio[b]) return ratio[a] > ratio[b];
-      return a < b;
+    std::sort(runs.begin(), runs.end(), [](const Run& a, const Run& b) {
+      if (a.ratio != b.ratio) return a.ratio > b.ratio;
+      return a.type < b.type;
     });
 
-    for (int t : types) {
+    for (const Run& run : runs) {
+      const int t = run.type;
       const MBps r = rate_of(t);
-      for (const auto& d : pending) {
-        if (d.type != t) continue;
+      for (std::size_t i = run.begin; i < run.end; ++i) {
+        const int proc = pending[i].proc;
         // Pick the hosting server with the largest usable headroom
         // min(card headroom, link headroom) (paper: "servers are considered
         // in decreasing order of the minimum between the remaining bandwidth
@@ -183,20 +199,18 @@ ServerSelectionResult select_servers_three_loop(const Problem& problem,
         int best = -1;
         MBps best_headroom = -1.0;
         for (int s : plat.servers_with(t)) {
-          const MBps h =
-              std::min(cards.headroom(s), links.headroom(d.proc, s));
+          const MBps h = std::min(cards.headroom(s), links.headroom(proc, s));
           if (h > best_headroom) {
             best_headroom = h;
             best = s;
           }
         }
-        if (best < 0 || !can_route(best, d.proc, r)) {
+        if (best < 0 || !can_route(best, proc, r)) {
           std::ostringstream ss;
-          ss << "loop3: no server can sustain type " << t << " for P"
-             << d.proc;
+          ss << "loop3: no server can sustain type " << t << " for P" << proc;
           return {false, ss.str()};
         }
-        route(best, d.proc, t);
+        route(best, proc, t);
       }
     }
   }

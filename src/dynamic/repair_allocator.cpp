@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <chrono>
 
 #include "core/constraints.hpp"
 #include "core/downgrade.hpp"
@@ -504,6 +505,16 @@ RepairReport DynamicAllocator::apply(const WorkloadEvent& event,
     return rep;
   }
 
+  // One steady_clock reading per phase boundary; lap() returns the seconds
+  // since the previous one.
+  auto mark = std::chrono::steady_clock::now();
+  const auto lap = [&mark] {
+    const auto now = std::chrono::steady_clock::now();
+    const double s = std::chrono::duration<double>(now - mark).count();
+    mark = now;
+    return s;
+  };
+
   bool arrival = false;
   switch (event.kind) {
     case EventKind::RhoChange: {
@@ -595,16 +606,21 @@ RepairReport DynamicAllocator::apply(const WorkloadEvent& event,
     ok = fallback_scratch(rep);
     rep.used_fallback = true;
   } else {
+    rep.refold_s = lap();
     // Arrivals, and operators left unassigned by an earlier failed event.
     if (arrival || state_->num_unassigned() > 0) {
       ok = place_unassigned(rep);
     }
+    rep.place_unassigned_s = lap();
     rep.violations_before =
         static_cast<int>(state_->overloaded_processors().size() +
                          state_->overloaded_links().size());
     if (ok && rep.violations_before > 0) ok = repair_violations(rep);
+    rep.repair_violations_s = lap();
     if (ok) consolidate(rep);
+    rep.consolidate_s = lap();
     if (ok) ok = finish_allocation(rep);
+    rep.finish_allocation_s = lap();
     if (!ok) {
       INSP_DEBUG << "event " << to_string(event.kind)
                  << ": targeted repair failed (" << rep.failure_reason

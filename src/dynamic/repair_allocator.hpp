@@ -110,6 +110,16 @@ struct RepairReport {
   /// neither direction.  Not part of the replay signature.
   int merges_tried = 0;
   int merges_failed = 0;
+  /// Wall-clock seconds of apply()'s targeted-repair phases, from one
+  /// steady_clock reading at each phase boundary; a phase that does not run
+  /// reads about 0.  refold_s covers the event's own change (refresh, or
+  /// refold and replay).  Their sum is at most apply()'s wall time.  Not
+  /// part of the replay signature.
+  double refold_s = 0.0;
+  double place_unassigned_s = 0.0;
+  double repair_violations_s = 0.0;
+  double consolidate_s = 0.0;
+  double finish_allocation_s = 0.0;
   Dollars cost_before = 0.0;
   Dollars cost_after = 0.0;
 };

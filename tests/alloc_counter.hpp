@@ -54,6 +54,19 @@ void* operator new(std::size_t size, std::align_val_t align) {
   throw std::bad_alloc();
 }
 
+// The nothrow forms are replaced too: std::stable_sort's temporary buffer
+// comes from them, and under AddressSanitizer an unreplaced nothrow new
+// would hand the replaced delete memory that free() must not release.
+void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
+  insp::alloc_counter::bump();
+  return std::malloc(size == 0 ? 1 : size);
+}
+
+void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
+  insp::alloc_counter::bump();
+  return std::malloc(size == 0 ? 1 : size);
+}
+
 void operator delete(void* p) noexcept { std::free(p); }
 void operator delete[](void* p) noexcept { std::free(p); }
 void operator delete(void* p, std::size_t) noexcept { std::free(p); }
@@ -64,6 +77,10 @@ void operator delete(void* p, std::size_t, std::align_val_t) noexcept {
   std::free(p);
 }
 void operator delete[](void* p, std::size_t, std::align_val_t) noexcept {
+  std::free(p);
+}
+void operator delete(void* p, const std::nothrow_t&) noexcept { std::free(p); }
+void operator delete[](void* p, const std::nothrow_t&) noexcept {
   std::free(p);
 }
 

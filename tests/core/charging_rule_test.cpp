@@ -148,11 +148,12 @@ void expect_close(double got, double want, const std::string& what) {
   EXPECT_NEAR(got, want, 1e-9 * std::max(1.0, std::fabs(want))) << what;
 }
 
-void expect_same_pairs(const std::map<std::pair<int, int>, MBps>& got,
+void expect_same_pairs(const std::vector<LinkLoads::Entry>& got,
                        const std::map<std::pair<int, int>, MBps>& want,
                        const std::string& what) {
   ASSERT_EQ(got.size(), want.size()) << what;
-  for (auto g = got.begin(), e = want.begin(); g != got.end(); ++g, ++e) {
+  auto e = want.begin();
+  for (auto g = got.begin(); g != got.end(); ++g, ++e) {
     ASSERT_EQ(g->first, e->first) << what;
     expect_close(g->second, e->second, what);
   }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cmath>
 #include <map>
 
@@ -605,6 +606,36 @@ TEST(DynamicAllocator, ArrivalsKeepRunningOperatorsTogether) {
   }
   EXPECT_GT(arrivals, 0);
   EXPECT_GE(groups, 1);
+}
+
+// The phase times are laps of one clock inside apply(): each is >= 0 and
+// together they fit inside the call's wall time measured from outside.
+TEST(DynamicAllocator, PhaseTimesFitInsideApply) {
+  int timed = 0;
+  for (std::uint64_t seed = 1; seed <= 4; ++seed) {
+    const benchx::DynamicWorld world =
+        benchx::make_dynamic_world(seed, {400, 6, 25});
+    DynamicAllocator engine(world.apps, world.platform, world.catalog);
+    ASSERT_TRUE(engine.initialize(seed ^ 0x5eed).success) << seed;
+    for (const WorkloadEvent& event : world.trace.events) {
+      const auto start = std::chrono::steady_clock::now();
+      const RepairReport rep = engine.apply(event, world.trace);
+      const double wall = std::chrono::duration<double>(
+                              std::chrono::steady_clock::now() - start)
+                              .count();
+      const double phases[] = {rep.refold_s, rep.place_unassigned_s,
+                               rep.repair_violations_s, rep.consolidate_s,
+                               rep.finish_allocation_s};
+      double sum = 0.0;
+      for (double s : phases) {
+        EXPECT_GE(s, 0.0) << "seed " << seed;
+        sum += s;
+      }
+      EXPECT_LE(sum, wall) << "seed " << seed;
+      if (rep.finish_allocation_s > 0.0) ++timed;
+    }
+  }
+  EXPECT_GT(timed, 50);
 }
 
 } // namespace
