@@ -93,7 +93,7 @@ RepairReport DynamicAllocator::initialize(std::uint64_t seed) {
   rebuild_platform();
   RepairReport rep;
   rep.cost_before = 0.0;
-  refold_and_replay({});
+  refold();
   if (fallback_scratch(rep)) {
     rep.success = true;
     initialized_ = true;
@@ -107,62 +107,56 @@ RepairReport DynamicAllocator::initialize(std::uint64_t seed) {
   return rep;
 }
 
-DynamicAllocator::AssignmentSnapshot DynamicAllocator::snapshot_assignment(
-    int dropped_slot) const {
-  AssignmentSnapshot snap;
-  if (!state_) return snap;
+int DynamicAllocator::op_offset(int slot) const {
   int offset = 0;
-  for (std::size_t s = 0; s < apps_.size(); ++s) {
-    const int count = apps_[s].tree.num_operators();
-    if (static_cast<int>(s) != dropped_slot) {
-      std::vector<int>& homes = snap.home.emplace_back();
-      homes.reserve(static_cast<std::size_t>(count));
-      for (int i = 0; i < count; ++i) {
-        homes.push_back(state_->proc_of(offset + i));
-      }
-    }
-    offset += count;
+  for (int s = 0; s < slot; ++s) {
+    offset += apps_[static_cast<std::size_t>(s)].tree.num_operators();
   }
-  snap.live = state_->live_processors();
-  if (!snap.live.empty()) {
-    snap.configs.resize(static_cast<std::size_t>(snap.live.back()) + 1);
-    for (int pid : snap.live) {
-      snap.configs[static_cast<std::size_t>(pid)] = state_->config(pid);
-    }
-  }
-  return snap;
+  return offset;
 }
 
-void DynamicAllocator::refold_and_replay(const AssignmentSnapshot& prev) {
+void DynamicAllocator::live_assignment(std::vector<ProcessorConfig>& configs,
+                                       std::vector<int>& home) const {
+  configs.clear();
+  home.clear();
+  if (!state_) return;
+  const std::vector<int>& live = state_->live_processors();
+  std::vector<int> index(live.empty() ? 0 : live.back() + 1, kNoNode);
+  for (int pid : live) {
+    index[static_cast<std::size_t>(pid)] = static_cast<int>(configs.size());
+    configs.push_back(state_->config(pid));
+  }
+  home.reserve(static_cast<std::size_t>(forest_.num_operators()));
+  for (int op = 0; op < forest_.num_operators(); ++op) {
+    const int pid = state_->proc_of(op);
+    home.push_back(pid == kNoNode ? kNoNode
+                                  : index[static_cast<std::size_t>(pid)]);
+  }
+}
+
+void DynamicAllocator::refold() {
+  state_.reset();
   if (apps_.empty()) {
     forest_ = OperatorTree();
-    state_.reset();
     alloc_ = Allocation{};
     return;
   }
-  CombinedApplication combined = combine_applications(apps_);
-  forest_ = std::move(combined.forest);
-  state_.emplace(problem());
+  // Operator ids stay contiguous per application, in apps_ order.
+  forest_ = combine_applications(apps_).forest;
+}
 
-  // Re-buy the surviving processors (old pid -> new pid, purchase order
-  // preserved) and replay the surviving assignment verbatim: existing
-  // applications are not disrupted by a structural event.
-  std::vector<int> new_pid(prev.configs.size(), -1);
-  for (int old_pid : prev.live) {
-    new_pid[static_cast<std::size_t>(old_pid)] =
-        state_->buy(prev.configs[static_cast<std::size_t>(old_pid)]);
-  }
-  for (std::size_t s = 0; s < prev.home.size(); ++s) {
-    const int offset = combined.op_offset_of_app[s];
-    for (std::size_t i = 0; i < prev.home[s].size(); ++i) {
-      const int old_pid = prev.home[s][i];
-      // kNoNode: the operator was unassigned in a degraded state (a failed
-      // earlier event); it stays unassigned and place_unassigned or the
-      // fallback picks it up.
-      if (old_pid < 0) continue;
-      state_->search_place(offset + static_cast<int>(i),
-                           new_pid[static_cast<std::size_t>(old_pid)]);
-    }
+void DynamicAllocator::seat(const std::vector<ProcessorConfig>& configs,
+                            const std::vector<int>& home) {
+  state_.emplace(problem());
+  // A fresh state numbers its processors 0, 1, ... in purchase order, so
+  // the index into `configs` is the new pid.
+  for (const ProcessorConfig& cfg : configs) state_->buy(cfg);
+  for (std::size_t op = 0; op < home.size(); ++op) {
+    // kNoNode: the operator was unassigned in a degraded state (a failed
+    // earlier event); it stays unassigned and place_unassigned or the
+    // fallback picks it up.
+    if (home[op] == kNoNode) continue;
+    state_->search_place(static_cast<int>(op), home[op]);
   }
 }
 
@@ -228,107 +222,31 @@ bool DynamicAllocator::place_unassigned(RepairReport& report) {
 }
 
 bool DynamicAllocator::repair_violations(RepairReport& report) {
+  // Re-purchase in place: each overloaded processor moves to the cheapest
+  // catalog configuration that meets its new loads, and no operator moves
+  // (the paper's pricing rule).  A configuration touches no other processor
+  // and no link, so one pass settles every processor that can be settled;
+  // what it cannot settle is left to the scratch fallback.
   PlacementState& state = *state_;
-  // Fixed round budget (DESIGN §8): past it the event falls back to scratch.
-  const int max_rounds = 4 * state.num_live_processors() + 16;
-  RepairScratch& sc = scratch_;
-  for (int round = 0; round < max_rounds; ++round) {
-    state.overloaded_processors(sc.over_procs);
-    state.overloaded_links(sc.over_links);
-    const std::vector<int>& over_procs = sc.over_procs;
-    const std::vector<std::pair<int, int>>& over_links = sc.over_links;
-    if (over_procs.empty() && over_links.empty()) return true;
-
-    // Target the lowest overloaded processor; when only links are violated,
-    // drain the endpoint carrying more traffic.
-    int target;
-    bool proc_violation = !over_procs.empty();
-    if (proc_violation) {
-      target = over_procs.front();
-    } else {
-      const auto [a, b] = over_links.front();
-      target = state.comm_load(a) >= state.comm_load(b) ? a : b;
+  state.overloaded_processors(scratch_.over_procs);
+  for (int pid : scratch_.over_procs) {
+    const auto cfg =
+        catalog_.cheapest_meeting(state.cpu_demand(pid), state.nic_load(pid));
+    if (!cfg || !state.try_reconfigure(pid, *cfg)) {
+      report.failure_reason = "repair: processor " + std::to_string(pid) +
+                              " exceeds every configuration";
+      return false;
     }
-
-    // Move 1 — re-purchase in place: the cheapest catalog configuration
-    // that meets the processor's new loads (no operator moves at all).
-    if (proc_violation) {
-      const auto cfg = catalog_.cheapest_meeting(state.cpu_demand(target),
-                                                 state.nic_load(target));
-      if (cfg && state.try_reconfigure(target, *cfg)) {
-        ++report.reconfigures;
-        continue;
-      }
-    }
-
-    // Move 2 — targeted eviction: relocate one operator off the violated
-    // resource (the source may stay violated, but no touched capacity may
-    // get worse and no new violation may appear).
-    // Order candidates by their contribution to the violated dimension.
-    const std::vector<int>& candidates = state.ops_on(target);
-    const MegaOps cpu_excess =
-        state.cpu_demand(target) -
-        catalog_.speed(state.config(target));
-    std::vector<std::pair<double, int>>& keyed = sc.keyed;
-    keyed.clear();
-    keyed.reserve(candidates.size());
-    for (int op : candidates) {
-      double key;
-      if (proc_violation && cpu_excess > 0.0) {
-        key = forest_.op(op).work;
-      } else {
-        // Bandwidth violation: crossing-edge volume the operator carries.
-        key = 0.0;
-        state.visit_neighbors(op, [&](int nb, MBps volume) {
-          const int q = state.proc_of(nb);
-          if (q != kNoNode && q != target) key += volume;
-        });
-      }
-      keyed.emplace_back(key, op);
-    }
-    std::sort(keyed.begin(), keyed.end(), [](const auto& x, const auto& y) {
-      return x.first != y.first ? x.first > y.first : x.second < y.second;
-    });
-
-    bool moved = false;
-    for (const auto& [key, op] : keyed) {
-      (void)key;
-      std::vector<int>& cands = sc.cands;
-      cands.clear();
-      for (int q : state.live_processors()) {
-        if (q != target) cands.push_back(q);
-      }
-      if (first_fit(state, op, cands)) {
-        ++report.ops_moved;
-        if (!state.is_live(target)) ++report.procs_retired;
-        moved = true;
-        break;
-      }
-    }
-    if (moved) continue;
-
-    // Move 3 — bounded re-purchase: a fresh processor for the heaviest
-    // evictable operator.
-    const int pid = state.buy(catalog_.most_expensive());
-    for (const auto& [key, op] : keyed) {
-      (void)key;
-      if (state.try_place(op, pid)) {
-        ++report.ops_moved;
-        ++report.procs_bought;
-        if (!state.is_live(target)) ++report.procs_retired;
-        moved = true;
-        break;
-      }
-    }
-    if (moved) continue;
-    state.sell(pid);
-
-    report.failure_reason =
-        "repair: processor " + std::to_string(target) + " cannot be drained";
+    ++report.reconfigures;
+  }
+  state.overloaded_links(scratch_.over_links);
+  if (!scratch_.over_links.empty()) {
+    const auto [a, b] = scratch_.over_links.front();
+    report.failure_reason = "repair: link " + std::to_string(a) + "-" +
+                            std::to_string(b) + " overloaded";
     return false;
   }
-  report.failure_reason = "repair: round limit exhausted";
-  return false;
+  return true;
 }
 
 void DynamicAllocator::consolidate(RepairReport& report) {
@@ -377,19 +295,6 @@ bool DynamicAllocator::finish_allocation(RepairReport& report) {
   return true;
 }
 
-void DynamicAllocator::adopt_allocation(const Allocation& alloc) {
-  state_.emplace(problem());
-  std::vector<int> pid_of(alloc.processors.size());
-  for (std::size_t u = 0; u < alloc.processors.size(); ++u) {
-    pid_of[u] = state_->buy(alloc.processors[u].config);
-  }
-  for (std::size_t op = 0; op < alloc.op_to_proc.size(); ++op) {
-    state_->search_place(
-        static_cast<int>(op),
-        pid_of[static_cast<std::size_t>(alloc.op_to_proc[op])]);
-  }
-}
-
 bool DynamicAllocator::fallback_scratch(RepairReport& report) {
   const Problem prob = problem();
   const int previously_assigned =
@@ -406,7 +311,12 @@ bool DynamicAllocator::fallback_scratch(RepairReport& report) {
   report.procs_retired += state_ ? state_->num_live_processors() : 0;
   report.procs_bought += out.num_processors;
   alloc_ = out.allocation;
-  adopt_allocation(alloc_);
+  std::vector<ProcessorConfig> configs;
+  configs.reserve(alloc_.processors.size());
+  for (const PurchasedProcessor& p : alloc_.processors) {
+    configs.push_back(p.config);
+  }
+  seat(configs, alloc_.op_to_proc);
   report.failure_reason.clear();
   return true;
 }
@@ -515,17 +425,13 @@ RepairReport DynamicAllocator::apply(const WorkloadEvent& event,
     return s;
   };
 
-  bool arrival = false;
   switch (event.kind) {
     case EventKind::RhoChange: {
       const int slot = app_slot(event.app_id);
       if (slot < 0) break;  // app already departed: benign no-op
       ApplicationSpec& app = apps_[static_cast<std::size_t>(slot)];
       const double factor = event.rho / app.rho;
-      int offset = 0;
-      for (int s = 0; s < slot; ++s) {
-        offset += apps_[static_cast<std::size_t>(s)].tree.num_operators();
-      }
+      const int offset = op_offset(slot);
       const int count = app.tree.num_operators();
       for (int i = offset; i < offset + count; ++i) {
         const MegaOps old_w = forest_.op(i).work;
@@ -566,28 +472,38 @@ RepairReport DynamicAllocator::apply(const WorkloadEvent& event,
       for (const ObjectType& t : forest_.catalog().all()) {
         spec.tree.mutable_catalog().set_type_frequency(t.id, t.freq_hz);
       }
-      const AssignmentSnapshot prev = snapshot_assignment(-1);
+      // Existing applications keep their processors verbatim; the arriving
+      // operators, numbered after them, start unassigned.
+      std::vector<ProcessorConfig> configs;
+      std::vector<int> home;
+      live_assignment(configs, home);
       app_ids_.push_back(event.app_id);
       apps_.push_back(std::move(spec));
-      refold_and_replay(prev);
-      arrival = true;
+      refold();
+      seat(configs, home);
       break;
     }
     case EventKind::AppDeparture: {
       const int slot = app_slot(event.app_id);
       if (slot < 0) break;
-      const AssignmentSnapshot prev = snapshot_assignment(slot);
-      const int before_procs = static_cast<int>(prev.live.size());
+      std::vector<ProcessorConfig> configs;
+      std::vector<int> home;
+      live_assignment(configs, home);
+      const auto first = home.begin() + op_offset(slot);
+      home.erase(first,
+                 first + apps_[static_cast<std::size_t>(slot)]
+                             .tree.num_operators());
       app_ids_.erase(app_ids_.begin() + slot);
       apps_.erase(apps_.begin() + slot);
-      refold_and_replay(prev);
-      if (state_) {
+      refold();
+      if (!apps_.empty()) {
+        seat(configs, home);
         // Sell the processors the departure emptied.
         for (int pid : std::vector<int>(state_->live_processors())) {
           if (state_->ops_on(pid).empty()) state_->sell(pid);
         }
-        rep.procs_retired +=
-            before_procs - state_->num_live_processors();
+        rep.procs_retired += static_cast<int>(configs.size()) -
+                             state_->num_live_processors();
       }
       break;
     }
@@ -608,7 +524,7 @@ RepairReport DynamicAllocator::apply(const WorkloadEvent& event,
   } else {
     rep.refold_s = lap();
     // Arrivals, and operators left unassigned by an earlier failed event.
-    if (arrival || state_->num_unassigned() > 0) {
+    if (state_->num_unassigned() > 0) {
       ok = place_unassigned(rep);
     }
     rep.place_unassigned_s = lap();

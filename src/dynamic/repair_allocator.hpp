@@ -4,14 +4,12 @@
 // and repairs it event by event instead of re-running a full heuristic:
 //
 //   - demand events (per-app rho, object update rates) are applied to the
-//     live PlacementState through the incremental refresh hooks, then only
-//     the violated processors/links are repaired with targeted moves:
-//     catalog re-purchase (upgrade in place), single-operator evictions via
-//     the transactional probes (whose verdict lets a move drain a violation
-//     it cannot fix, never create or grow one), and a bounded buy for load
-//     that fits nowhere;
+//     live PlacementState through the incremental refresh hooks, then each
+//     overloaded processor is re-purchased in place at the cheapest catalog
+//     configuration meeting its new loads (the paper's pricing rule; no
+//     operator moves and nothing is bought);
 //   - structural events (application arrival/departure) rebuild the folded
-//     forest but *replay* the surviving assignment verbatim, so existing
+//     forest and re-seat the surviving assignment verbatim, so existing
 //     applications are not disrupted; arriving operators are placed
 //     bottom-up by first fit, then a lone top-tier processor, then the
 //     paper's grouping step (§4.1) on a fresh processor;
@@ -21,8 +19,9 @@
 //     then the downgrade rule, downgraded_config, applied in place to each
 //     live processor) recovers cost headroom the event released.
 //
-// When targeted repair cannot restore feasibility the engine falls back to a
-// full from-scratch re-allocation.  Every event returns a RepairReport with
+// When a processor exceeds every configuration, a link is overloaded, or
+// arrival placement fails, the engine falls back to a full from-scratch
+// re-allocation.  Every event returns a RepairReport with
 // the disruption actually incurred (operators moved, processors bought /
 // retired / re-priced, dollars delta) — the currency the paper's one-shot
 // setting never has to account for.
@@ -173,28 +172,32 @@ class DynamicAllocator {
  private:
   int app_slot(int app_id) const;  ///< index into apps_, -1 when gone
   void rebuild_platform();
-  /// The live assignment a structural event carries over to the refolded
-  /// forest.
-  struct AssignmentSnapshot {
-    /// Per surviving app slot, the processor of each of its operators.
-    std::vector<std::vector<int>> home;
-    /// Configuration of every live processor, indexed by processor id.
-    std::vector<ProcessorConfig> configs;
-    std::vector<int> live;  ///< live processor ids, purchase order
-  };
-  /// Snapshots the current assignment of every app slot except
-  /// `dropped_slot` (-1: keep all).  Empty when there is no state (an
-  /// arrival into an emptied world).
-  AssignmentSnapshot snapshot_assignment(int dropped_slot) const;
-  /// Rebuilds the folded forest from apps_ and re-creates the
-  /// PlacementState, replaying the snapshot's assignment verbatim.
-  void refold_and_replay(const AssignmentSnapshot& prev);
+  /// First forest id of app slot `slot`'s operators (ids are contiguous
+  /// per application, in apps_ order).
+  int op_offset(int slot) const;
+  /// The live assignment in seat()'s terms: the configuration of every live
+  /// processor in purchase order, and each operator's index into it
+  /// (kNoNode: unassigned).  Both empty when there is no state.
+  void live_assignment(std::vector<ProcessorConfig>& configs,
+                       std::vector<int>& home) const;
+  /// Rebuilds the folded forest from apps_ and drops the PlacementState;
+  /// with no application left, also the allocation.
+  void refold();
+  /// The one way state_ is rebuilt (initial plan, structural events, the
+  /// scratch fallback): a fresh PlacementState over forest_ buys `configs`
+  /// in order, then seats each operator `op` on processor `home[op]` in
+  /// ascending op order.  Operators marked kNoNode or past the end of
+  /// `home` stay unassigned.
+  void seat(const std::vector<ProcessorConfig>& configs,
+            const std::vector<int>& home);
   /// Places every unassigned operator (arrivals) bottom-up: first fit on a
   /// live processor, else a lone top-tier processor, else a group grown
   /// along the most demanding edges (place_with_grouping, CheapestFirst).
   /// Returns false when some operator fits nowhere, even grouped.
   bool place_unassigned(RepairReport& report);
-  /// Drains overloaded processors/links with reconfigure+evict+buy moves.
+  /// Re-purchases each overloaded processor at the cheapest configuration
+  /// meeting its loads.  False (a `repair:` failure_reason) when a processor
+  /// exceeds every configuration or a link is overloaded.
   bool repair_violations(RepairReport& report);
   /// merge_sweep (core/local_search.hpp) + cheapest-meeting re-pricing on
   /// the feasible state.
@@ -204,8 +207,6 @@ class DynamicAllocator {
   bool fallback_scratch(RepairReport& report);
   /// Re-runs server selection + full validation into alloc_.
   bool finish_allocation(RepairReport& report);
-  /// Rebuilds state_ from an allocation (configs + assignment replayed).
-  void adopt_allocation(const Allocation& alloc);
 
   RepairOptions opt_;
   PriceCatalog catalog_;
@@ -216,13 +217,11 @@ class DynamicAllocator {
   std::vector<ApplicationSpec> apps_;     // parallel to app_ids_
   OperatorTree forest_;                   // folded (rho baked into demands)
   std::optional<PlacementState> state_;
-  /// Reused buffers of the repair loops: they reach steady-state capacity
-  /// after the first round, so later rounds never touch the heap.
+  /// Reused buffers of the repair passes: they reach steady-state capacity
+  /// after the first events, so later events never touch the heap there.
   struct RepairScratch {
     std::vector<int> over_procs;
     std::vector<std::pair<int, int>> over_links;
-    std::vector<std::pair<double, int>> keyed;
-    std::vector<int> cands;
     std::vector<int> order;
   };
   RepairScratch scratch_;

@@ -206,9 +206,47 @@ TEST(DynamicAllocator, ImpossibleDemandFailsButKeepsEngineAlive) {
   const RepairReport rep = engine.apply(rho_event(0, 10000.0), no_trace);
   EXPECT_FALSE(rep.success);
   EXPECT_FALSE(rep.failure_reason.empty());
+  // Re-purchase finds no configuration, so the event goes straight to
+  // scratch, which fails too.
+  EXPECT_TRUE(rep.used_fallback);
+  EXPECT_NE(rep.fallback_reason.find("exceeds every configuration"),
+            std::string::npos)
+      << rep.fallback_reason;
   // The engine stays usable: lowering rho again repairs the world.
   const RepairReport back = engine.apply(rho_event(0, 0.5), no_trace);
   ASSERT_TRUE(back.success) << back.failure_reason;
+  const CheckReport chk =
+      check_allocation(engine.problem(), engine.allocation());
+  EXPECT_TRUE(chk.ok()) << chk.summary();
+}
+
+// Repair re-purchases processors and nothing else, so an overloaded link
+// goes to scratch.  Chain R <- M <- L (work 60, 30, 40; M ships 60 MB/s to
+// R, L 10 MB/s to M) on HandWorld's processors, but with 50 MB/s
+// processor-processor links.  At rho 0.8 the chain overflows one CPU
+// (104), and the plan is {L, M} and {R} with 48 MB/s on their link.  At
+// rho 1 both CPUs (70, 60) and NICs (60) still fit, but the link carries
+// 60.  Moving M next to R would drain it (CPU 90, link 10), and the scratch
+// plan does exactly that.
+TEST(DynamicAllocator, LinkOverloadFallsBackToScratch) {
+  const dyntest::HandWorld w;
+  const Platform platform{{DataServer{0, 1e6, {0}}, DataServer{1, 1e6, {0}}},
+                          1e6, 50.0, 1};
+  DynamicAllocator engine(
+      {{w.tree({kNoNode, 0, 1}, {60.0, 30.0, 40.0}, {1.0, 60.0, 10.0}), 0.8}},
+      platform, w.catalog);
+  ASSERT_TRUE(engine.initialize(42).success);
+  ASSERT_EQ(engine.allocation().num_processors(), 2);
+  const EventTrace no_trace;
+  const RepairReport rep = engine.apply(rho_event(0, 1.0), no_trace);
+  ASSERT_TRUE(rep.success) << rep.failure_reason;
+  EXPECT_TRUE(rep.used_fallback);
+  EXPECT_EQ(rep.fallback_reason.rfind("repair: link", 0), 0u)
+      << rep.fallback_reason;
+  EXPECT_EQ(rep.reconfigures, 0);
+  const std::vector<int>& home = engine.allocation().op_to_proc;
+  EXPECT_EQ(home[1], home[0]);
+  EXPECT_NE(home[2], home[0]);
   const CheckReport chk =
       check_allocation(engine.problem(), engine.allocation());
   EXPECT_TRUE(chk.ok()) << chk.summary();

@@ -97,10 +97,10 @@ TEST(ReplaySignatureGolden, BenchDynamicSmokeFallbackKeepsItsReason) {
   // root <- m1 <- m2 <- leaf, work 30 each; the edges into the root and out
   // of the leaf carry 120 MB/s at rho 1, the middle one 40.  At rho 0.5 it
   // fits one 100 MegaOps/s processor.  Doubling rho overloads that CPU, and
-  // every single-operator eviction would cut a 120 MB/s edge through a
-  // 100 MB/s NIC, so targeted repair cannot drain it.  The scratch
-  // re-allocation splits the chain at its middle edge and succeeds, which
-  // clears failure_reason: the reason it fired survives in fallback_reason.
+  // no configuration is faster, so re-purchase cannot repair it.  The
+  // scratch re-allocation splits the chain at its middle edge and succeeds,
+  // which clears failure_reason: the reason it fired survives in
+  // fallback_reason.
   const dyntest::HandWorld w;
   EventTrace trace;
   WorkloadEvent doubling;
@@ -122,7 +122,10 @@ TEST(ReplaySignatureGolden, BenchDynamicSmokeFallbackKeepsItsReason) {
     ++fallbacks;
     EXPECT_TRUE(out.repair.success);
     EXPECT_TRUE(out.repair.failure_reason.empty());
-    EXPECT_EQ(out.repair.fallback_reason.rfind("repair:", 0), 0u)
+    EXPECT_EQ(out.repair.fallback_reason.rfind("repair: processor", 0), 0u)
+        << out.repair.fallback_reason;
+    EXPECT_NE(out.repair.fallback_reason.find("exceeds every configuration"),
+              std::string::npos)
         << out.repair.fallback_reason;
   }
   EXPECT_GE(fallbacks, 1);

@@ -1,14 +1,16 @@
-// Concurrency stress for the allocation service: one producer thread per
-// shard blasting the shard's trace through the bounded queue, several query
-// threads hammering the lock-free snapshots the whole time, and worker
-// counts beyond the shard count — then the per-shard trajectory is checked
-// bit for bit against the sequential reference.  This binary is the core of
-// the ThreadSanitizer CI job (INSP_TSAN), so every synchronization path of
-// src/service/ runs under TSan on every PR.
+// Concurrency stress for the allocation service: producer threads blasting
+// the shards' traces through the bounded queue, query threads hammering the
+// lock-free snapshots the whole time, and worker counts beyond the shard
+// count — then every shard's trajectory and final allocation are checked
+// bit for bit against the sequential reference.  This binary is the core
+// of the ThreadSanitizer CI job (INSP_TSAN), so every synchronization path
+// of src/service/ runs under TSan on every PR.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <string>
 #include <thread>
 #include <vector>
 
@@ -22,11 +24,12 @@ namespace {
 using benchx::DynamicWorld;
 using benchx::make_dynamic_world;
 
-std::vector<ShardSpec> stress_shards(int count, int n_ops, int events) {
+std::vector<ShardSpec> stress_shards(int count,
+                                     benchx::DynamicWorldScale scale) {
   std::vector<ShardSpec> specs;
   for (int i = 0; i < count; ++i) {
-    DynamicWorld world = make_dynamic_world(
-        42 + 977ull * static_cast<std::uint64_t>(i), {n_ops, 2, events});
+    DynamicWorld world =
+        make_dynamic_world(42 + 977ull * static_cast<std::uint64_t>(i), scale);
     specs.push_back(ShardSpec{std::move(world.apps), std::move(world.platform),
                               std::move(world.catalog),
                               std::move(world.trace)});
@@ -34,11 +37,60 @@ std::vector<ShardSpec> stress_shards(int count, int n_ops, int events) {
   return specs;
 }
 
-/// Drives one full service run with producers + query threads; returns the
-/// per-shard signatures observed after drain.
-std::vector<std::uint64_t> run_service(const std::vector<ShardSpec>& specs,
-                                       const ServiceOptions& opt,
-                                       int query_threads) {
+std::vector<ShardReplayResult> sequential_reference(
+    const std::vector<ShardSpec>& specs, const ServiceOptions& opt) {
+  std::vector<ShardReplayResult> reference;
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    reference.push_back(
+        replay_shard_sequential(specs[s], static_cast<int>(s), opt));
+    EXPECT_TRUE(reference.back().initialized) << "shard " << s;
+  }
+  return reference;
+}
+
+struct Request {
+  int shard = 0;
+  const WorkloadEvent* event = nullptr;
+};
+/// The requests one producer thread submits, in order.
+using Stream = std::vector<Request>;
+
+/// One producer per shard, each submitting its shard's trace.
+std::vector<Stream> per_shard_streams(const std::vector<ShardSpec>& specs) {
+  std::vector<Stream> streams(specs.size());
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    for (const WorkloadEvent& event : specs[s].trace.events) {
+      streams[s].push_back({static_cast<int>(s), &event});
+    }
+  }
+  return streams;
+}
+
+/// One producer submitting every shard's trace merged by (event time,
+/// shard), as the benchmark's open-loop producer does.
+std::vector<Stream> merged_stream(const std::vector<ShardSpec>& specs) {
+  std::vector<Stream> streams = per_shard_streams(specs);
+  Stream merged;
+  for (const Stream& stream : streams) {
+    merged.insert(merged.end(), stream.begin(), stream.end());
+  }
+  std::stable_sort(merged.begin(), merged.end(),
+                   [](const Request& a, const Request& b) {
+                     if (a.event->time != b.event->time) {
+                       return a.event->time < b.event->time;
+                     }
+                     return a.shard < b.shard;
+                   });
+  return {std::move(merged)};
+}
+
+/// Drives one full service run with the producers + query threads, then
+/// checks every shard's drained snapshot — signature and final allocation
+/// — against the sequential reference.
+void run_service(const std::vector<ShardSpec>& specs, const ServiceOptions& opt,
+                 const std::vector<Stream>& streams, int query_threads,
+                 const std::vector<ShardReplayResult>& reference,
+                 const std::string& label) {
   AllocationService service(specs, opt);
   service.start();
 
@@ -68,10 +120,12 @@ std::vector<std::uint64_t> run_service(const std::vector<ShardSpec>& specs,
   }
 
   std::vector<std::thread> producers;
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    producers.emplace_back([&service, &specs, s] {
-      for (const WorkloadEvent& event : specs[s].trace.events) {
-        ASSERT_TRUE(service.submit(static_cast<int>(s), event));
+  std::size_t requests = 0;
+  for (const Stream& stream : streams) {
+    requests += stream.size();
+    producers.emplace_back([&service, &stream] {
+      for (const Request& r : stream) {
+        ASSERT_TRUE(service.submit(r.shard, *r.event));
       }
     });
   }
@@ -80,48 +134,38 @@ std::vector<std::uint64_t> run_service(const std::vector<ShardSpec>& specs,
   stop_queries.store(true);
   for (std::thread& t : queries) t.join();
 
-  EXPECT_EQ(stats.requests_submitted,
-            specs.size() * specs[0].trace.events.size());
+  EXPECT_EQ(stats.requests_submitted, requests);
   EXPECT_EQ(static_cast<std::uint64_t>(stats.events_applied +
                                        stats.events_coalesced),
             stats.requests_submitted);
   EXPECT_EQ(stats.latency_seconds.size(), stats.requests_submitted);
   for (double latency : stats.latency_seconds) EXPECT_GE(latency, 0.0);
 
-  std::vector<std::uint64_t> signatures;
+  ASSERT_EQ(service.num_shards(), static_cast<int>(reference.size()));
   for (int s = 0; s < service.num_shards(); ++s) {
     const auto snap = service.snapshot(s);
-    signatures.push_back(snap->signature);
-    // Final snapshots match the reference allocation checked by the caller.
+    const ShardReplayResult& ref = reference[static_cast<std::size_t>(s)];
     EXPECT_TRUE(snap->initialized);
+    EXPECT_EQ(snap->signature, ref.signature)
+        << "shard " << s << " diverged: " << label;
+    EXPECT_TRUE(snap->allocation == ref.final_allocation)
+        << "shard " << s << " final allocation differs: " << label;
   }
-  return signatures;
 }
 
 TEST(ServiceStress, ConcurrentRunIsBitIdenticalToSequentialReplay) {
   // 4 shards x 60 events, tight queue (forces producer backpressure), more
   // workers than cores on most CI boxes — then the whole thing again with
-  // different worker counts: every run must land on the same signatures.
-  const std::vector<ShardSpec> specs = stress_shards(4, 48, 60);
+  // different worker counts: every run must land on the reference.
+  const std::vector<ShardSpec> specs = stress_shards(4, {48, 2, 60});
   ServiceOptions opt;
   opt.queue_capacity = 32;
-
-  std::vector<ShardReplayResult> reference;
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    reference.push_back(
-        replay_shard_sequential(specs[s], static_cast<int>(s), opt));
-    ASSERT_TRUE(reference.back().initialized);
-  }
-
+  const std::vector<ShardReplayResult> reference =
+      sequential_reference(specs, opt);
   for (int workers : {1, 4, 8}) {
     opt.num_workers = workers;
-    const std::vector<std::uint64_t> signatures =
-        run_service(specs, opt, /*query_threads=*/3);
-    ASSERT_EQ(signatures.size(), specs.size());
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-      EXPECT_EQ(signatures[s], reference[s].signature)
-          << "shard " << s << " diverged with " << workers << " workers";
-    }
+    run_service(specs, opt, per_shard_streams(specs), /*query_threads=*/3,
+                reference, std::to_string(workers) + " workers");
   }
 }
 
@@ -130,20 +174,28 @@ TEST(ServiceStress, ManyWorkersFewShardsKeepOrdering) {
   // sequence numbers exist to fix; single-event epochs (window 0) make
   // every request an independent application so any ordering slip would
   // change the trajectory.
-  const std::vector<ShardSpec> specs = stress_shards(2, 40, 48);
+  const std::vector<ShardSpec> specs = stress_shards(2, {40, 2, 48});
   ServiceOptions opt;
   opt.num_workers = 8;
   opt.queue_capacity = 8;
   opt.batch_window_s = 0.0;
-  std::vector<ShardReplayResult> reference;
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    reference.push_back(
-        replay_shard_sequential(specs[s], static_cast<int>(s), opt));
-  }
-  const std::vector<std::uint64_t> signatures =
-      run_service(specs, opt, /*query_threads=*/2);
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    EXPECT_EQ(signatures[s], reference[s].signature) << "shard " << s;
+  run_service(specs, opt, per_shard_streams(specs), /*query_threads=*/2,
+              sequential_reference(specs, opt), "window 0");
+}
+
+TEST(ServiceStress, BenchmarkShapedRunsMatchTheReference) {
+  // The benchmark's service shape at a shorter stream: 4 shards of N = 400
+  // operators over 6 applications, 2 workers, one producer submitting the
+  // time-merged stream, one reader — five times over.
+  const std::vector<ShardSpec> specs = stress_shards(4, {400, 6, 300});
+  ServiceOptions opt;
+  opt.num_workers = 2;
+  const std::vector<ShardReplayResult> reference =
+      sequential_reference(specs, opt);
+  const std::vector<Stream> streams = merged_stream(specs);
+  for (int rep = 0; rep < 5; ++rep) {
+    run_service(specs, opt, streams, /*query_threads=*/1, reference,
+                "repetition " + std::to_string(rep));
   }
 }
 
