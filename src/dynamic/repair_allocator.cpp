@@ -252,9 +252,22 @@ bool DynamicAllocator::repair_violations(RepairReport& report) {
 void DynamicAllocator::consolidate(RepairReport& report) {
   // Merge sweep: fold processor pairs whose merged cheapest-meeting
   // configuration beats the pair — this is how capacity released by a rho
-  // decrease or a departure turns back into dollars.
+  // decrease or a departure turns back into dollars.  A merge empties and
+  // sells its source, so the operators the sweep moves are those of the
+  // processors it sells.  Only the ones seated before the event began
+  // count: the ones place_unassigned seated (scratch_.order) never ran.
+  std::vector<std::pair<int, int>> ran;  // (live pid, its operators that ran)
+  for (int pid : state_->live_processors()) {
+    ran.emplace_back(pid, static_cast<int>(state_->ops_on(pid).size()));
+  }
+  for (int op : scratch_.order) {
+    const int pid = state_->proc_of(op);
+    std::lower_bound(ran.begin(), ran.end(), std::pair{pid, 0})->second -= 1;
+  }
   const MergeSweepResult merged = merge_sweep(*state_);
-  report.ops_moved += merged.ops_moved;
+  for (const auto& [pid, ops] : ran) {
+    if (!state_->is_live(pid)) report.ops_moved += ops;
+  }
   report.procs_retired += merged.merges;
   report.merges_tried += merged.tried;
   report.merges_failed += merged.failed;
@@ -297,16 +310,23 @@ bool DynamicAllocator::finish_allocation(RepairReport& report) {
 
 bool DynamicAllocator::fallback_scratch(RepairReport& report) {
   const Problem prob = problem();
-  const int previously_assigned =
-      forest_.num_operators() - (state_ ? state_->num_unassigned() : 0);
+  // Every operator seated before the event began; the ones place_unassigned
+  // seated in this event (scratch_.order) never ran.
+  int previously_assigned = 0;
+  if (state_) {
+    previously_assigned = forest_.num_operators() - state_->num_unassigned();
+    for (int op : scratch_.order) {
+      if (state_->proc_of(op) != kNoNode) --previously_assigned;
+    }
+  }
   Rng r = rng_.split();
   const AllocationOutcome out = allocate(prob, kFallbackHeuristic, r);
   if (!out.success) {
     report.failure_reason = "scratch: " + out.failure_reason;
     return false;
   }
-  // Scratch re-allocation disrupts every running operator: the plan is
-  // rebuilt with no continuity guarantee.
+  // Scratch re-allocation disrupts every one of them: the plan is rebuilt
+  // with no continuity guarantee.
   report.ops_moved += previously_assigned;
   report.procs_retired += state_ ? state_->num_live_processors() : 0;
   report.procs_bought += out.num_processors;
@@ -523,7 +543,9 @@ RepairReport DynamicAllocator::apply(const WorkloadEvent& event,
     rep.used_fallback = true;
   } else {
     rep.refold_s = lap();
-    // Arrivals, and operators left unassigned by an earlier failed event.
+    // Arrivals, and operators left unassigned by an earlier failed event;
+    // place_unassigned lists them in scratch_.order.
+    scratch_.order.clear();
     if (state_->num_unassigned() > 0) {
       ok = place_unassigned(rep);
     }

@@ -86,12 +86,14 @@ struct RepairReport {
   /// replay signature.
   std::string fallback_reason;
   int violations_before = 0;    ///< overloaded processors+links post-event
-  /// Operators whose co-residency group changed.  Arrival placement counts
-  /// none: it seats, and its groups pull, only operators of applications
-  /// that have never been part of a published allocation (an arrival, or
-  /// one an earlier failed event left partly seated), so none of them ran.
-  /// The consolidation merge sweep is the exception: it counts every
-  /// operator it moves, including ones that arrived in the same event.
+  /// Operators seated before the event began that the event moves to
+  /// another processor, each counted once.  The operators place_unassigned
+  /// seats in the event (an arrival's, or ones an earlier failed event left
+  /// unseated) never ran, so moving them counts nothing.  Re-purchase moves
+  /// nothing, and arrival placement counts nothing: a group pulls only
+  /// operators of an application that was never published.  The
+  /// consolidation merge sweep counts those seated operators on every
+  /// processor it empties; a scratch fallback counts all of them.
   int ops_moved = 0;
   /// Processors bought / retired.  Arrival placement counts the processors
   /// it leaves live that were not live before it (and the reverse), so one

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <map>
@@ -644,6 +645,55 @@ TEST(DynamicAllocator, ArrivalsKeepRunningOperatorsTogether) {
   }
   EXPECT_GT(arrivals, 0);
   EXPECT_GE(groups, 1);
+}
+
+// ops_moved counts the operators seated before the event that end it on
+// another processor, each once; the arrival's own operators, which never
+// ran, count nothing however the consolidation sweep moves them.  The
+// count is held against the live state: demand and server events keep
+// processor ids, and an arrival re-seats the processors in purchase order.
+TEST(DynamicAllocator, OpsMovedCountsOnlyOperatorsThatRan) {
+  int arrivals_with_moves = 0;
+  for (std::uint64_t seed : {1u, 2u, 3u}) {
+    const benchx::DynamicWorld world =
+        benchx::make_dynamic_world(seed, {100, 2, 200});
+    DynamicAllocator engine(world.apps, world.platform, world.catalog);
+    ASSERT_TRUE(engine.initialize(seed).success);
+    for (const WorkloadEvent& e : world.trace.events) {
+      const bool arrival = e.kind == EventKind::AppArrival;
+      std::vector<int> expected;  // each seated operator's pid if it stays
+      if (e.kind != EventKind::AppDeparture && engine.placement_state()) {
+        const PlacementState& st = *engine.placement_state();
+        const std::vector<int>& live = st.live_processors();
+        for (int op = 0; op < engine.forest().num_operators(); ++op) {
+          const int pid = st.proc_of(op);
+          expected.push_back(
+              !arrival || pid == kNoNode
+                  ? pid
+                  : static_cast<int>(
+                        std::lower_bound(live.begin(), live.end(), pid) -
+                        live.begin()));
+        }
+      }
+      const RepairReport rep = engine.apply(e, world.trace);
+      ASSERT_TRUE(rep.success) << rep.failure_reason;
+      if (e.kind == EventKind::AppDeparture || !engine.placement_state()) {
+        continue;
+      }
+      int moved = 0;
+      for (std::size_t op = 0; op < expected.size(); ++op) {
+        if (expected[op] != kNoNode &&
+            engine.placement_state()->proc_of(static_cast<int>(op)) !=
+                expected[op]) {
+          ++moved;
+        }
+      }
+      EXPECT_EQ(rep.ops_moved, moved)
+          << "seed " << seed << " " << to_string(e.kind);
+      if (arrival && moved > 0) ++arrivals_with_moves;
+    }
+  }
+  EXPECT_GT(arrivals_with_moves, 0);
 }
 
 // The phase times are laps of one clock inside apply(): each is >= 0 and
