@@ -225,10 +225,10 @@ bool DynamicAllocator::repair_violations(RepairReport& report) {
   // Re-purchase in place: each overloaded processor moves to the cheapest
   // catalog configuration that meets its new loads, and no operator moves
   // (the paper's pricing rule).  A configuration touches no other processor
-  // and no link, so one pass settles every processor that can be settled;
-  // what it cannot settle is left to the scratch fallback.
+  // and no link, so one pass over the violations apply() listed settles
+  // every processor that can be settled; what it cannot settle is left to
+  // the scratch fallback.
   PlacementState& state = *state_;
-  state.overloaded_processors(scratch_.over_procs);
   for (int pid : scratch_.over_procs) {
     const auto cfg =
         catalog_.cheapest_meeting(state.cpu_demand(pid), state.nic_load(pid));
@@ -239,7 +239,6 @@ bool DynamicAllocator::repair_violations(RepairReport& report) {
     }
     ++report.reconfigures;
   }
-  state.overloaded_links(scratch_.over_links);
   if (!scratch_.over_links.empty()) {
     const auto [a, b] = scratch_.over_links.front();
     report.failure_reason = "repair: link " + std::to_string(a) + "-" +
@@ -550,9 +549,10 @@ RepairReport DynamicAllocator::apply(const WorkloadEvent& event,
       ok = place_unassigned(rep);
     }
     rep.place_unassigned_s = lap();
-    rep.violations_before =
-        static_cast<int>(state_->overloaded_processors().size() +
-                         state_->overloaded_links().size());
+    state_->overloaded_processors(scratch_.over_procs);
+    state_->overloaded_links(scratch_.over_links);
+    rep.violations_before = static_cast<int>(scratch_.over_procs.size() +
+                                             scratch_.over_links.size());
     if (ok && rep.violations_before > 0) ok = repair_violations(rep);
     rep.repair_violations_s = lap();
     if (ok) consolidate(rep);

@@ -197,9 +197,10 @@ class DynamicAllocator {
   /// along the most demanding edges (place_with_grouping, CheapestFirst).
   /// Returns false when some operator fits nowhere, even grouped.
   bool place_unassigned(RepairReport& report);
-  /// Re-purchases each overloaded processor at the cheapest configuration
-  /// meeting its loads.  False (a `repair:` failure_reason) when a processor
-  /// exceeds every configuration or a link is overloaded.
+  /// Re-purchases each processor in scratch_.over_procs at the cheapest
+  /// configuration meeting its loads.  False (a `repair:` failure_reason)
+  /// when one exceeds every configuration or scratch_.over_links is not
+  /// empty.
   bool repair_violations(RepairReport& report);
   /// merge_sweep (core/local_search.hpp) + cheapest-meeting re-pricing on
   /// the feasible state.
