@@ -2,9 +2,9 @@
 // workload traces (per-app rho drift, object-rate changes, server
 // failure/recovery, application arrival/departure) against a live
 // allocation twice —
-//   repair  : the incremental repair engine (targeted reconfigure/evict/buy
-//             moves over the undo-journal API, scratch fallback only when
-//             targeted repair fails);
+//   repair  : the incremental repair engine (arrival placement, in-place
+//             re-purchase and consolidation over the undo-journal API,
+//             scratch fallback only when targeted repair fails);
 //   scratch : every event handled by a full from-scratch re-allocation (the
 //             static paper pipeline's only option);
 // and reports per-event repair latency, disruption (operators moved,

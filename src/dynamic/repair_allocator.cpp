@@ -259,9 +259,12 @@ void DynamicAllocator::consolidate(RepairReport& report) {
   for (int pid : state_->live_processors()) {
     ran.emplace_back(pid, static_cast<int>(state_->ops_on(pid).size()));
   }
+  const auto by_pid = [](const std::pair<int, int>& e, int pid) {
+    return e.first < pid;
+  };
   for (int op : scratch_.order) {
-    const int pid = state_->proc_of(op);
-    std::lower_bound(ran.begin(), ran.end(), std::pair{pid, 0})->second -= 1;
+    std::lower_bound(ran.begin(), ran.end(), state_->proc_of(op), by_pid)
+        ->second -= 1;
   }
   const MergeSweepResult merged = merge_sweep(*state_);
   for (const auto& [pid, ops] : ran) {
