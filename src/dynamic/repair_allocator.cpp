@@ -190,13 +190,13 @@ bool DynamicAllocator::place_unassigned(RepairReport& report) {
   const int live_before = state.num_live_processors();
   // Pids grow monotonically: every pid from here on is bought in this call.
   const int first_new = live.empty() ? 0 : live.back() + 1;
-  std::vector<int>& order = scratch_.order;
-  order.clear();
+  std::vector<int>& unseated = scratch_.unseated;
+  unseated.clear();
   for (int op : forest_.bottom_up_order()) {
-    if (state.proc_of(op) == kNoNode) order.push_back(op);
+    if (state.proc_of(op) == kNoNode) unseated.push_back(op);
   }
   bool ok = true;
-  for (int op : order) {
+  for (int op : unseated) {
     if (state.proc_of(op) != kNoNode) continue;  // seated by a group
     if (first_fit(state, op, live)) continue;
     const int pid = state.buy(catalog_.most_expensive());
@@ -254,7 +254,7 @@ void DynamicAllocator::consolidate(RepairReport& report) {
   // decrease or a departure turns back into dollars.  A merge empties and
   // sells its source, so the operators the sweep moves are those of the
   // processors it sells.  Only the ones seated before the event began
-  // count: the ones place_unassigned seated (scratch_.order) never ran.
+  // count: the ones place_unassigned seated (scratch_.unseated) never ran.
   std::vector<std::pair<int, int>> ran;  // (live pid, its operators that ran)
   for (int pid : state_->live_processors()) {
     ran.emplace_back(pid, static_cast<int>(state_->ops_on(pid).size()));
@@ -262,7 +262,7 @@ void DynamicAllocator::consolidate(RepairReport& report) {
   const auto by_pid = [](const std::pair<int, int>& e, int pid) {
     return e.first < pid;
   };
-  for (int op : scratch_.order) {
+  for (int op : scratch_.unseated) {
     std::lower_bound(ran.begin(), ran.end(), state_->proc_of(op), by_pid)
         ->second -= 1;
   }
@@ -313,11 +313,11 @@ bool DynamicAllocator::finish_allocation(RepairReport& report) {
 bool DynamicAllocator::fallback_scratch(RepairReport& report) {
   const Problem prob = problem();
   // Every operator seated before the event began; the ones place_unassigned
-  // seated in this event (scratch_.order) never ran.
+  // seated in this event (scratch_.unseated) never ran.
   int previously_assigned = 0;
   if (state_) {
     previously_assigned = forest_.num_operators() - state_->num_unassigned();
-    for (int op : scratch_.order) {
+    for (int op : scratch_.unseated) {
       if (state_->proc_of(op) != kNoNode) --previously_assigned;
     }
   }
@@ -546,8 +546,8 @@ RepairReport DynamicAllocator::apply(const WorkloadEvent& event,
   } else {
     rep.refold_s = lap();
     // Arrivals, and operators left unassigned by an earlier failed event;
-    // place_unassigned lists them in scratch_.order.
-    scratch_.order.clear();
+    // place_unassigned lists them in scratch_.unseated.
+    scratch_.unseated.clear();
     if (state_->num_unassigned() > 0) {
       ok = place_unassigned(rep);
     }

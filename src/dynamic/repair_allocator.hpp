@@ -225,7 +225,11 @@ class DynamicAllocator {
   struct RepairScratch {
     std::vector<int> over_procs;
     std::vector<std::pair<int, int>> over_links;
-    std::vector<int> order;
+    /// The operators unassigned when the event's placement step began,
+    /// bottom-up: the ones that never ran.  Cleared by every targeted
+    /// repair, filled by place_unassigned, read by consolidate and
+    /// fallback_scratch.
+    std::vector<int> unseated;
   };
   RepairScratch scratch_;
   Allocation alloc_;
