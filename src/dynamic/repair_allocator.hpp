@@ -19,9 +19,10 @@
 //     then the downgrade rule, downgraded_config, applied in place to each
 //     live processor) recovers cost headroom the event released.
 //
-// When a processor exceeds every configuration, a link is overloaded, or
-// arrival placement fails, the engine falls back to a full from-scratch
-// re-allocation.  Every event returns a RepairReport with
+// When targeted repair yields no valid plan (a processor exceeds every
+// configuration, a link is overloaded, an arriving operator fits nowhere,
+// or server selection or the final check fails), the engine falls back to
+// a full from-scratch re-allocation.  Every event returns a RepairReport with
 // the disruption actually incurred (operators moved, processors bought /
 // retired / re-priced, dollars delta) — the currency the paper's one-shot
 // setting never has to account for.
