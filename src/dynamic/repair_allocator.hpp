@@ -96,12 +96,15 @@ struct RepairReport {
   /// consolidation merge sweep counts those seated operators on every
   /// processor it empties; a scratch fallback counts all of them.
   int ops_moved = 0;
-  /// Processors bought / retired.  Arrival placement counts the processors
-  /// it leaves live that were not live before it (and the reverse), so one
-  /// a group buys and sells again counts as neither.
+  /// Processors bought / retired; re-purchase does neither.  Arrival
+  /// placement counts the processors it leaves live that were not live
+  /// before it (and the reverse), so one a group buys and sells again
+  /// counts as neither.
   int procs_bought = 0;
   int procs_retired = 0;
-  int reconfigures = 0;         ///< in-place catalog re-purchases
+  /// In-place catalog re-purchases: repair's upgrades of overloaded
+  /// processors and consolidation's downgrades.
+  int reconfigures = 0;
   /// Arriving operators that neither first fit nor a lone top-tier
   /// processor could seat, and that a group seated instead (one per group).
   /// Counted even when a later step falls back to scratch.  Not part of the
@@ -115,7 +118,7 @@ struct RepairReport {
   /// Wall-clock seconds of apply()'s targeted-repair phases, from one
   /// steady_clock reading at each phase boundary; a phase that does not run
   /// reads about 0.  refold_s covers the event's own change (refresh, or
-  /// refold and replay).  Their sum is at most apply()'s wall time.  Not
+  /// refold and re-seat).  Their sum is at most apply()'s wall time.  Not
   /// part of the replay signature.
   double refold_s = 0.0;
   double place_unassigned_s = 0.0;
