@@ -147,10 +147,12 @@ inline void report(const SweepResult& result, const std::string& title,
   }
 }
 
-/// Writes a bench's BENCH_*.json artifact.  A file that cannot be opened,
+/// Writes a bench's BENCH_*.json artifact, stamped with this host
+/// (host_stamp).  A file that cannot be opened,
 /// written or closed is fatal: the path and the reason go to stderr and the
 /// bench exits 1, so "json written to" only ever names a complete file.
-inline void emit_json(const JsonArtifact& artifact, const std::string& path) {
+inline void emit_json(JsonArtifact artifact, const std::string& path) {
+  artifact.host = host_stamp();
   if (!write_json_artifact(artifact, path)) {
     std::fprintf(stderr, "cannot write %s: %s\n", path.c_str(),
                  std::strerror(errno));

@@ -1,7 +1,8 @@
 // Concurrent multi-tenant allocation service study (docs/DESIGN.md §9):
-// drives the sharded AllocationService with one producer thread per shard
-// blasting a seeded dynamic trace through the bounded MPMC queue, across a
-// {worker threads} x {shards} x {total operators} grid, and reports event
+// drives the sharded AllocationService with one producer (the main thread)
+// blasting the shards' seeded dynamic traces, merged by (event time,
+// shard), through the bounded MPMC queue, across a {worker threads} x
+// {shards} x {total operators} grid, and reports event
 // throughput and request latency (p50/p99: submit -> batch applied).
 // Every configuration's per-shard trajectory is checked bit for bit against
 // the sequential per-shard reference (service_replay.hpp): a row with
@@ -26,6 +27,7 @@
 
 #include "bench_common.hpp"
 #include "bench_support/dynamic_world.hpp"
+#include "harness/service_stream.hpp"
 #include "service/allocation_service.hpp"
 #include "service/service_replay.hpp"
 
@@ -83,6 +85,7 @@ std::vector<ShardSpec> make_deployment(std::uint64_t seed, int n_total,
 }
 
 RowResult run_row(const std::vector<ShardSpec>& specs,
+                  const std::vector<RoutedEvent>& stream,
                   const std::vector<ShardReplayResult>& reference,
                   const GridRow& row, std::uint64_t seed) {
   ServiceOptions opt;
@@ -93,16 +96,7 @@ RowResult run_row(const std::vector<ShardSpec>& specs,
   service.start();
 
   const auto t0 = Clock::now();
-  std::vector<std::thread> producers;
-  producers.reserve(specs.size());
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    producers.emplace_back([&service, &specs, s] {
-      for (const WorkloadEvent& event : specs[s].trace.events) {
-        service.submit(static_cast<int>(s), event);
-      }
-    });
-  }
-  for (std::thread& t : producers) t.join();
+  for (const RoutedEvent& r : stream) service.submit(r.shard, *r.event);
   ServiceStats stats = service.finish();
   const double wall = std::chrono::duration<double>(Clock::now() - t0).count();
 
@@ -200,10 +194,11 @@ int main(int argc, char** argv) {
         reference.push_back(
             replay_shard_sequential(specs[s], static_cast<int>(s), ref_opt));
       }
+      const std::vector<RoutedEvent> stream = merged_stream(specs);
       double baseline_eps = 0.0;
       for (int workers : worker_counts) {
         GridRow row{n_total, shards, workers, events_per_shard};
-        RowResult r = run_row(specs, reference, row, flags.seed);
+        RowResult r = run_row(specs, stream, reference, row, flags.seed);
         if (workers == worker_counts.front()) baseline_eps = r.events_per_sec;
         r.speedup_vs_1worker =
             baseline_eps > 0.0 ? r.events_per_sec / baseline_eps : 0.0;

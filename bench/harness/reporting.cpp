@@ -6,6 +6,7 @@
 #include <iomanip>
 #include <limits>
 #include <sstream>
+#include <thread>
 
 #include "harness/ascii_chart.hpp"
 #include "harness/csv.hpp"
@@ -161,11 +162,37 @@ std::string hex16(std::uint64_t v) {
   return buf;
 }
 
+JsonRow host_stamp() {
+  std::vector<std::string> isa;
+#if defined(__x86_64__) || defined(__i386__)
+  __builtin_cpu_init();
+  // __builtin_cpu_supports takes only a string literal.
+  if (__builtin_cpu_supports("sse4.2")) isa.push_back("sse4.2");
+  if (__builtin_cpu_supports("avx")) isa.push_back("avx");
+  if (__builtin_cpu_supports("avx2")) isa.push_back("avx2");
+  if (__builtin_cpu_supports("fma")) isa.push_back("fma");
+  if (__builtin_cpu_supports("avx512f")) isa.push_back("avx512f");
+  if (isa.empty()) isa.push_back("none");
+#else
+  isa.push_back("unknown");
+#endif
+  return JsonRow()
+      .add("cores",
+           static_cast<std::uint64_t>(std::thread::hardware_concurrency()))
+      .add("isa", join(isa, " "))
+      .add("compiler", INSP_COMPILER)
+      .add("build_type", INSP_BUILD_TYPE)
+      .add("git_sha", INSP_GIT_SHA);
+}
+
 std::string render_json_artifact(const JsonArtifact& artifact) {
   JsonRow top;
   top.add("bench", artifact.bench)
       .add("schema_version", artifact.schema_version)
       .add("seed", artifact.seed);
+  if (!artifact.host.empty()) {
+    top.raw("host", "{" + join(artifact.host.members_, ", ") + "}");
+  }
   top.members_.insert(top.members_.end(), artifact.extra.members_.begin(),
                       artifact.extra.members_.end());
   std::vector<std::string> rows;

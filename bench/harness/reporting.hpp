@@ -60,6 +60,8 @@ class JsonRow {
   /// The one allowed level of nesting: a list of flat objects, one a line.
   JsonRow& add(const char* key, const std::vector<JsonRow>& table);
 
+  bool empty() const { return members_.empty(); }
+
  private:
   friend std::string render_json_artifact(const JsonArtifact& artifact);
   JsonRow& raw(const char* key, const std::string& value) {
@@ -77,9 +79,18 @@ struct JsonArtifact {
   std::string bench;
   int schema_version;
   std::uint64_t seed;
-  JsonRow extra;  ///< further top-level scalars, printed after `seed`
+  /// Where the numbers came from (host_stamp()): one flat `"host"` object
+  /// printed after `seed`, left out while empty.
+  JsonRow host;
+  JsonRow extra;  ///< further top-level scalars, printed after `host`
   std::vector<JsonRow> results;
 };
+
+/// The measuring host: `cores` (hardware threads), `isa` (the x86
+/// extensions the CPU reports, space-separated; "none" or "unknown"
+/// elsewhere), `compiler`, `build_type` and `git_sha` (HEAD when the build
+/// was configured, "-dirty" when the tree differed from it).
+JsonRow host_stamp();
 
 /// `v` as 16 lowercase hex digits (replay signatures).
 std::string hex16(std::uint64_t v);

@@ -10,8 +10,14 @@ them follow one envelope:
       "bench": "<name>",          # non-empty string
       "schema_version": 1,        # positive integer
       "seed": 42,                 # integer (optional but conventional)
+      "host": {"cores": 4, "isa": "avx2 ...", "compiler": "GNU 12.2.0",
+               "build_type": "Release", "git_sha": "<sha>[-dirty]"},
       "results": [ { ... }, ... ] # non-empty list of flat objects
     }
+
+The host stamp is required: a number means little without the machine,
+compiler and revision it came from.  `cores` is a positive integer, the
+other four are non-empty strings, and no other key is allowed.
 
 Each result row must be an object of scalar values (numbers, strings,
 booleans); one level of nesting is allowed for per-row breakdown tables
@@ -24,6 +30,10 @@ artifact the smoke runs produce; it is also handy locally:
 """
 import json
 import sys
+
+# The host stamp every artifact carries (host_stamp in
+# bench/harness/reporting.hpp).
+HOST_KEYS = {"cores", "isa", "compiler", "build_type", "git_sha"}
 
 # Per-bench row schemas: when a known bench name is seen, every result row
 # must carry exactly these keys.  A missing key means a row silently lost
@@ -111,6 +121,18 @@ def check_file(path):
     version = doc.get("schema_version")
     if not isinstance(version, int) or isinstance(version, bool) or version < 1:
         return fail(path, "'schema_version' must be a positive integer")
+    host = doc.get("host")
+    if not isinstance(host, dict):
+        return fail(path, "'host' must be an object (the host stamp)")
+    if host.keys() != HOST_KEYS:
+        return fail(path, f"'host' keys must be exactly "
+                          f"{', '.join(sorted(HOST_KEYS))}")
+    cores = host["cores"]
+    if not isinstance(cores, int) or isinstance(cores, bool) or cores < 1:
+        return fail(path, "'host.cores' must be a positive integer")
+    for key in sorted(HOST_KEYS - {"cores"}):
+        if not isinstance(host[key], str) or not host[key]:
+            return fail(path, f"'host.{key}' must be a non-empty string")
     results = doc.get("results")
     if not isinstance(results, list) or not results:
         return fail(path, "'results' must be a non-empty list")

@@ -66,6 +66,13 @@ std::string Allocation::describe(const Problem& problem) const {
 
 std::vector<ProcessorLoads> compute_processor_loads(const Problem& problem,
                                                     const Allocation& alloc) {
+  return compute_processor_loads(problem, alloc,
+                                 needed_types_per_processor(problem, alloc));
+}
+
+std::vector<ProcessorLoads> compute_processor_loads(
+    const Problem& problem, const Allocation& alloc,
+    const std::vector<std::vector<int>>& needed_types) {
   const OperatorTree& tree = *problem.tree;
   std::vector<ProcessorLoads> loads(alloc.processors.size());
 
@@ -76,9 +83,8 @@ std::vector<ProcessorLoads> compute_processor_loads(const Problem& problem,
   }
 
   // Downloads: distinct types per processor.
-  const auto types = needed_types_per_processor(problem, alloc);
-  for (std::size_t u = 0; u < types.size(); ++u) {
-    for (int t : types[u]) {
+  for (std::size_t u = 0; u < needed_types.size(); ++u) {
+    for (int t : needed_types[u]) {
       loads[u].download += tree.catalog().type(t).rate();
     }
   }

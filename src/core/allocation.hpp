@@ -53,6 +53,12 @@ struct ProcessorLoads {
 std::vector<ProcessorLoads> compute_processor_loads(const Problem& problem,
                                                     const Allocation& alloc);
 
+/// The same, with `needed_types` = needed_types_per_processor(problem,
+/// alloc) already gathered by the caller (the checker needs it twice).
+std::vector<ProcessorLoads> compute_processor_loads(
+    const Problem& problem, const Allocation& alloc,
+    const std::vector<std::vector<int>>& needed_types);
+
 /// Link and server-card loads, at the problem's rho.  The one aggregation
 /// behind the checker's constraints (3)-(5), the flow analyzer and the
 /// utilization report.

@@ -38,8 +38,10 @@ class Checker {
   CheckReport run() {
     check_structure();
     if (!report_.ok()) return std::move(report_);  // loads need structure
-    check_downloads();
-    check_cpu_and_nic();
+    // One gather serves the routing check and the NIC loads.
+    const auto needed = needed_types_per_processor(p_, a_);
+    check_downloads(needed);
+    check_cpu_and_nic(needed);
     check_servers_and_links();
     return std::move(report_);
   }
@@ -83,8 +85,7 @@ class Checker {
     }
   }
 
-  void check_downloads() {
-    const auto needed = needed_types_per_processor(p_, a_);
+  void check_downloads(const std::vector<std::vector<int>>& needed) {
     const int num_types = p_.tree->catalog().count();
     // last_proc[t]: the last processor that routed type t, which flags a
     // repeat in route order; `routed` collects each processor's distinct
@@ -139,8 +140,8 @@ class Checker {
     }
   }
 
-  void check_cpu_and_nic() {
-    const auto loads = compute_processor_loads(p_, a_);
+  void check_cpu_and_nic(const std::vector<std::vector<int>>& needed) {
+    const auto loads = compute_processor_loads(p_, a_, needed);
     const auto& cat = *p_.catalog;
     for (std::size_t u = 0; u < a_.processors.size(); ++u) {
       const auto& cfg = a_.processors[u].config;

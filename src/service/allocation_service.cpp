@@ -54,17 +54,38 @@ bool AllocationService::submit(int shard, const WorkloadEvent& event) {
   if (shard < 0 || shard >= num_shards()) return false;
   if (!std::isfinite(event.time)) return false;
   Shard& sh = *shards_[static_cast<std::size_t>(shard)];
+  const bool batching = opt_.batch_window_s > 0.0;
+  std::lock_guard<std::mutex> lock(submit_mu_);
+  if (event.time < last_time_) return false;
   ServiceRequest req;
   req.shard = shard;
   req.seq = sh.submit_seq.fetch_add(1);
+  // Batching disabled: every request is its own epoch (and thus its own
+  // singleton batch), otherwise a worker that extracts several requests at
+  // once would coalesce across them — a timing-dependent batch shape.
+  const std::int64_t epoch =
+      batching ? batch_epoch(event.time, opt_.batch_window_s)
+               : static_cast<std::int64_t>(req.seq);
+  req.epoch = epoch;
+  const bool raises = batching && epoch > watermark_.load();
+  req.raises_watermark = raises;
   req.event = event;
   req.enqueued_at = std::chrono::steady_clock::now();
-  if (queue_.push(std::move(req))) return true;
-  // Refused (service finishing): hand the sequence number back, or the gap
-  // would strand every later request of this shard at drain time.  Exact
-  // under the one-producer-per-shard contract submit() documents.
-  sh.submit_seq.fetch_sub(1);
-  return false;
+  if (!queue_.push(std::move(req))) {
+    // Refused (service finishing): hand the sequence number back, or the
+    // gap would strand every later request of this shard at drain time.
+    sh.submit_seq.fetch_sub(1);
+    return false;
+  }
+  last_time_ = event.time;
+  if (raises) raise_watermark(epoch);
+  return true;
+}
+
+void AllocationService::raise_watermark(std::int64_t epoch) {
+  std::int64_t cur = watermark_.load();
+  while (cur < epoch && !watermark_.compare_exchange_weak(cur, epoch)) {
+  }
 }
 
 const ShardSnapshot* AllocationService::snapshot(int shard) const {
@@ -77,14 +98,13 @@ void AllocationService::worker_loop() {
   ServiceRequest req;
   while (queue_.pop(req)) {
     Shard& shard = *shards_[static_cast<std::size_t>(req.shard)];
+    // submit() raises the watermark only after its push, so this worker may
+    // have popped the request first: raise it here too, before any shard
+    // below reads it.
+    if (req.raises_watermark) raise_watermark(req.epoch);
     Pending item;
     item.seq = req.seq;
-    // Batching disabled: every request is its own epoch (and thus its own
-    // singleton batch), otherwise a worker that extracts several requests
-    // at once would coalesce across them — a timing-dependent batch shape.
-    item.epoch = opt_.batch_window_s > 0.0
-                     ? batch_epoch(req.event.time, opt_.batch_window_s)
-                     : static_cast<std::int64_t>(req.seq);
+    item.epoch = req.epoch;
     item.event = req.event;
     item.enqueued_at = req.enqueued_at;
     {
@@ -99,6 +119,13 @@ void AllocationService::worker_loop() {
       shard.pending.insert(pos, std::move(item));
     }
     run_shard(shard);
+    // A new epoch may have closed the last held-back group of every other
+    // shard.
+    if (req.raises_watermark) {
+      for (std::unique_ptr<Shard>& other : shards_) {
+        if (other.get() != &shard) run_shard(*other);
+      }
+    }
   }
 }
 
@@ -114,10 +141,18 @@ std::size_t AllocationService::ready_count_locked(const Shard& shard) const {
   std::size_t cut = m;
   if (!draining_.load() && opt_.batch_window_s > 0.0) {
     // The final epoch group in the prefix may still grow (a same-epoch
-    // request can arrive later); hold it back until a later-epoch request
-    // closes it.  Earlier groups are closed by the events after them.
+    // request can arrive later).  Earlier groups are closed by the events
+    // after them.  The final one is closed once a later epoch was accepted
+    // anywhere (times are non-decreasing service-wide, so no request of
+    // this epoch can follow) and every request stamped for the shard so
+    // far is in the prefix.  submit_seq is read after the watermark: every
+    // seq stamped before the raising request is then counted.
     const std::int64_t last_epoch = shard.pending[cut - 1].epoch;
-    while (cut > 0 && shard.pending[cut - 1].epoch == last_epoch) --cut;
+    const bool closed = last_epoch < watermark_.load() &&
+                        shard.next_seq + m == shard.submit_seq.load();
+    if (!closed) {
+      while (cut > 0 && shard.pending[cut - 1].epoch == last_epoch) --cut;
+    }
   }
   return cut;
 }

@@ -7,15 +7,23 @@
 // queue into per-shard epoch batches (batch_planner.hpp).
 //
 // Concurrency model, and why a concurrent run is bit-reproducible:
-//   - submit() stamps each request with a shard-local sequence number;
+//   - event times are non-decreasing across the whole service: submit()
+//     refuses a request earlier than the last accepted one.  Under one
+//     submit-side mutex it checks the time, stamps a shard-local sequence
+//     number and pushes, so the accepted stream has one total order;
 //     workers popping the shared queue re-sort a shard's requests by that
 //     sequence, so per-shard order is submission order no matter which
 //     worker carries which request.
 //   - a shard is driven by at most one worker at a time (an atomic
 //     ownership flag, not a held lock), and only *closed, complete* epoch
-//     batches are applied — an epoch closes when a later-epoch request for
-//     the shard has been submitted, or at drain.  Batch composition is
-//     therefore a pure function of the submitted stream, never of timing.
+//     batches are applied.  An epoch closes when a later-epoch request for
+//     the shard has been submitted; when a later-epoch request for *any*
+//     shard has been accepted (the service-wide watermark) and every
+//     request submitted to the shard has reached its pending list (the
+//     worker that pops the request raising the watermark re-runs the
+//     other shards); or at drain.  The watermark moves only *when* a
+//     batch is applied: batch composition stays a pure function of each
+//     shard's stream, never of timing.
 //   - the repair trajectory of a shard is then exactly the trajectory of
 //     the sequential reference (service_replay.hpp) over the same stream:
 //     signatures and final allocations match bit for bit for any worker
@@ -32,6 +40,7 @@
 #include <atomic>
 #include <cstdint>
 #include <deque>
+#include <limits>
 #include <memory>
 #include <mutex>
 #include <thread>
@@ -121,11 +130,18 @@ class AllocationService {
 
   /// Enqueues one tenant request; blocks while the queue is full.  Returns
   /// false when the shard id is out of range, the event time is not
-  /// finite, or the service is finishing.
-  /// Per-shard request order is submission order: concurrent submitters
-  /// must target different shards (one stream per shard), which is the
-  /// natural tenant-to-shard routing anyway.
+  /// finite, the time is earlier than the last accepted request's (of any
+  /// shard), or the service is finishing.  A refused request consumes no
+  /// sequence number and does not move the watermark.
+  /// Request order is acceptance order: concurrent submitters share one
+  /// service-wide time order, so they must agree on who submits next (one
+  /// merged stream) or a later time refuses an earlier one.
   bool submit(int shard, const WorkloadEvent& event);
+
+  /// Service-wide watermark: the largest batch epoch of any accepted
+  /// request (INT64_MIN before the first, and always while batching is
+  /// disabled).  Raised before submit() returns true; diagnostics only.
+  std::int64_t watermark_epoch() const { return watermark_.load(); }
 
   /// Latest published snapshot: one atomic acquire-load, wait-free, safe
   /// from any thread.  Never null after start(); valid until the service
@@ -185,10 +201,13 @@ class AllocationService {
   /// Drives the shard until no closed batch remains (ownership loop).
   void run_shard(Shard& shard);
   /// Extractable-prefix length: contiguous by seq, cut before the final
-  /// epoch group unless draining.  Requires shard.mu held; the single
-  /// definition keeps extract_ready and the lost-wakeup recheck agreeing
-  /// on what "ready" means (including non-monotonic event times).
+  /// epoch group unless that epoch is closed (draining, or below the
+  /// watermark with every submitted request of the shard in the prefix).
+  /// Requires shard.mu held; the single definition keeps extract_ready and
+  /// the lost-wakeup recheck agreeing on what "ready" means.
   std::size_t ready_count_locked(const Shard& shard) const;
+  /// Lifts watermark_ to at least `epoch` (it never falls).
+  void raise_watermark(std::int64_t epoch);
   /// Moves the extractable prefix out of pending.  Empty when none.
   std::vector<Pending> extract_ready(Shard& shard);
   bool has_ready(Shard& shard);
@@ -202,6 +221,15 @@ class AllocationService {
   RequestQueue queue_;
   std::vector<std::thread> workers_;
   std::atomic<bool> draining_{false};
+  /// Orders submit(): the time check, sequence stamp and push of one
+  /// request happen before the next request's time check.
+  std::mutex submit_mu_;
+  double last_time_ = -std::numeric_limits<double>::infinity();  // submit_mu_
+  /// Largest accepted epoch.  Raised by submit() under submit_mu_ and by
+  /// workers to epochs already accepted, so under submit_mu_ it is the
+  /// last accepted request's epoch.
+  std::atomic<std::int64_t> watermark_{
+      std::numeric_limits<std::int64_t>::min()};
   bool started_ = false;
   bool finished_ = false;
   ServiceStats stats_;

@@ -8,9 +8,11 @@
 //
 //   - epoch: floor(event.time / window_s).  A batch is a maximal run of
 //     consecutive same-epoch events in shard submission order.  An epoch is
-//     *closed* (safe to apply) once a later-epoch event for the shard has
-//     been submitted — event times are non-decreasing per shard, so nothing
-//     can join a closed epoch — or when the service is draining.
+//     *closed* (safe to apply) once a later-epoch event has been accepted
+//     by the service, for this shard or any other — event times are
+//     non-decreasing service-wide, so nothing can join a closed epoch —
+//     and every event submitted to the shard has reached it, or when the
+//     service is draining (AllocationService::ready_count_locked).
 //   - coalescing: within a batch, consecutive runs of rate-only events
 //     (RhoChange / ObjectRateChange) keep only the last update per app and
 //     per object type; earlier ones are acknowledged without a repair pass

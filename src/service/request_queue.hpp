@@ -25,11 +25,16 @@ namespace insp {
 /// One tenant request: a workload event bound for a shard.  `seq` is the
 /// shard-local submission index (assigned by AllocationService::submit);
 /// shard runners use it to restore per-shard order when several workers
-/// pop requests of the same shard concurrently.  `enqueued_at` feeds the
+/// pop requests of the same shard concurrently.  `epoch` is the request's
+/// batch epoch, and `raises_watermark` marks the first accepted request of
+/// a later epoch than every earlier one (the worker that pops it closes
+/// the other shards' older epochs).  `enqueued_at` feeds the
 /// request-latency histogram.
 struct ServiceRequest {
   int shard = -1;
   std::uint64_t seq = 0;
+  std::int64_t epoch = 0;
+  bool raises_watermark = false;
   WorkloadEvent event;
   std::chrono::steady_clock::time_point enqueued_at{};
 };

@@ -58,6 +58,25 @@ TEST(JsonArtifact, RendersEnvelopeRowsAndNestedTableExactly) {
             "}\n");
 }
 
+TEST(JsonArtifact, HostStampIsOneFlatObjectAfterTheSeed) {
+  JsonArtifact a{"demo", 1, 42};
+  a.host = host_stamp();
+  a.extra.add("hardware_concurrency", 8);
+  a.results.push_back(JsonRow().add("n", 1));
+  const std::string text = render_json_artifact(a);
+  const std::size_t host = text.find("  \"host\": {\"cores\": ");
+  ASSERT_NE(host, std::string::npos) << text;
+  EXPECT_LT(text.find("\"seed\": 42"), host);
+  EXPECT_GT(text.find("\"hardware_concurrency\": 8"), host);
+  const std::string line = text.substr(host, text.find('\n', host) - host);
+  for (const char* key : {"\"isa\": \"", "\"compiler\": \"",
+                          "\"build_type\": \"", "\"git_sha\": \""}) {
+    EXPECT_NE(line.find(key), std::string::npos) << key << " in " << line;
+  }
+  EXPECT_EQ(line.back(), ',');  // one line, then the next member
+  EXPECT_EQ(line[line.size() - 2], '}');
+}
+
 TEST(JsonArtifact, SeedPrintsAsExactUint64) {
   JsonArtifact a{"demo", 1, 18446744073709551615ull};
   a.results.push_back(JsonRow().add("n", 1));

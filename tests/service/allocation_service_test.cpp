@@ -3,11 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <limits>
 #include <thread>
 
 #include "bench_support/dynamic_world.hpp"
+#include "harness/service_stream.hpp"
 #include "service/batch_planner.hpp"
 #include "service/service_replay.hpp"
 
@@ -16,6 +18,8 @@ namespace {
 
 using benchx::DynamicWorld;
 using benchx::make_dynamic_world;
+using benchx::merged_stream;
+using benchx::RoutedEvent;
 
 WorkloadEvent rate_event(EventKind kind, int id, double value,
                          double time = 0.0) {
@@ -283,10 +287,8 @@ TEST(AllocationService, MatchesSequentialReferenceForEveryWorkerCount) {
     opt.num_workers = workers;
     AllocationService service(specs, opt);
     service.start();
-    for (std::size_t s = 0; s < specs.size(); ++s) {
-      for (const WorkloadEvent& event : specs[s].trace.events) {
-        ASSERT_TRUE(service.submit(static_cast<int>(s), event));
-      }
+    for (const RoutedEvent& r : merged_stream(specs)) {
+      ASSERT_TRUE(service.submit(r.shard, *r.event));
     }
     const ServiceStats stats = service.finish();
 
@@ -315,6 +317,77 @@ TEST(AllocationService, MatchesSequentialReferenceForEveryWorkerCount) {
                                          stats.events_coalesced),
               stats.requests_submitted);
   }
+}
+
+TEST(AllocationService, HeldEpochClosesOnALaterRequestToAnotherShard) {
+  // Shard 0's only request is in epoch 0; nothing later ever arrives for
+  // shard 0.  A shard-1 request in epoch 1 moves the service-wide
+  // watermark past epoch 0, which must close shard 0's epoch before
+  // finish() drains it.
+  ServiceOptions opt;
+  opt.num_workers = 2;
+  AllocationService service(small_shards(2), opt);
+  service.start();
+  ASSERT_TRUE(service.submit(0, rate_event(EventKind::RhoChange, 0, 0.7,
+                                           0.0)));
+  ASSERT_TRUE(service.submit(
+      1, rate_event(EventKind::RhoChange, 0, 0.8, opt.batch_window_s)));
+  const auto deadline =
+      std::chrono::steady_clock::now() + std::chrono::seconds(5);
+  bool visible = false;
+  while (!visible && std::chrono::steady_clock::now() < deadline) {
+    const ShardSnapshot* snap = service.snapshot(0);
+    visible = snap->events_applied + snap->events_coalesced == 1;
+    if (!visible) std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  EXPECT_TRUE(visible) << "shard 0's epoch 0 stayed held back";
+  EXPECT_EQ(service.finish().requests_submitted, 2u);
+}
+
+TEST(AllocationService, RejectsTimeGoingBackwards) {
+  const std::vector<ShardSpec> specs = small_shards(2);
+  ServiceOptions opt;
+  opt.num_workers = 2;
+  std::vector<ShardReplayResult> reference;
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    reference.push_back(
+        replay_shard_sequential(specs[s], static_cast<int>(s), opt));
+  }
+  const std::vector<RoutedEvent> stream = merged_stream(specs);
+  const std::size_t half = stream.size() / 2;
+  ASSERT_LT(stream.front().event->time, stream[half - 1].event->time);
+
+  AllocationService service(specs, opt);
+  service.start();
+  for (std::size_t k = 0; k < half; ++k) {
+    ASSERT_TRUE(service.submit(stream[k].shard, *stream[k].event));
+  }
+  const std::int64_t watermark = service.watermark_epoch();
+  EXPECT_EQ(watermark,
+            batch_epoch(stream[half - 1].event->time, opt.batch_window_s));
+  // Earlier than the last accepted request, on either shard: refused.
+  EXPECT_FALSE(service.submit(0, *stream.front().event));
+  EXPECT_FALSE(service.submit(1, *stream.front().event));
+  // Refused for its shard, however late: the watermark stays put.
+  EXPECT_FALSE(service.submit(
+      2, rate_event(EventKind::RhoChange, 0, 0.7, 1e9)));
+  EXPECT_EQ(service.watermark_epoch(), watermark);
+  for (std::size_t k = half; k < stream.size(); ++k) {
+    ASSERT_TRUE(service.submit(stream[k].shard, *stream[k].event));
+  }
+  const ServiceStats stats = service.finish();
+  EXPECT_EQ(stats.requests_submitted, stream.size());
+  for (std::size_t s = 0; s < specs.size(); ++s) {
+    EXPECT_EQ(service.snapshot(static_cast<int>(s))->signature,
+              reference[s].signature)
+        << "shard " << s;
+  }
+  // A finishing service refuses even an in-order request, and the
+  // watermark stays where the last accepted one left it.
+  const std::int64_t drained = service.watermark_epoch();
+  EXPECT_FALSE(service.submit(0, rate_event(EventKind::RhoChange, 0, 0.7,
+                                            1e9)));
+  EXPECT_EQ(service.watermark_epoch(), drained);
 }
 
 TEST(AllocationService, BatchingDisabledAppliesEveryRequest) {

@@ -1,20 +1,21 @@
 // Concurrency stress for the allocation service: producer threads blasting
-// the shards' traces through the bounded queue, query threads hammering the
-// lock-free snapshots the whole time, and worker counts beyond the shard
-// count — then every shard's trajectory and final allocation are checked
-// bit for bit against the sequential reference.  This binary is the core
+// the shards' time-merged traces through the bounded queue, query threads
+// hammering the lock-free snapshots the whole time, and worker counts
+// beyond the shard count — then every shard's trajectory and final
+// allocation are checked bit for bit against the sequential reference.  This binary is the core
 // of the ThreadSanitizer CI job (INSP_TSAN), so every synchronization path
 // of src/service/ runs under TSan on every PR.
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <atomic>
 #include <cstdint>
+#include <mutex>
 #include <string>
 #include <thread>
 #include <vector>
 
 #include "bench_support/dynamic_world.hpp"
+#include "harness/service_stream.hpp"
 #include "service/allocation_service.hpp"
 #include "service/service_replay.hpp"
 
@@ -23,6 +24,7 @@ namespace {
 
 using benchx::DynamicWorld;
 using benchx::make_dynamic_world;
+using benchx::merged_stream;
 
 std::vector<ShardSpec> stress_shards(int count,
                                      benchx::DynamicWorldScale scale) {
@@ -48,47 +50,16 @@ std::vector<ShardReplayResult> sequential_reference(
   return reference;
 }
 
-struct Request {
-  int shard = 0;
-  const WorkloadEvent* event = nullptr;
-};
-/// The requests one producer thread submits, in order.
-using Stream = std::vector<Request>;
-
-/// One producer per shard, each submitting its shard's trace.
-std::vector<Stream> per_shard_streams(const std::vector<ShardSpec>& specs) {
-  std::vector<Stream> streams(specs.size());
-  for (std::size_t s = 0; s < specs.size(); ++s) {
-    for (const WorkloadEvent& event : specs[s].trace.events) {
-      streams[s].push_back({static_cast<int>(s), &event});
-    }
-  }
-  return streams;
-}
-
-/// One producer submitting every shard's trace merged by (event time,
-/// shard), as the benchmark's open-loop producer does.
-std::vector<Stream> merged_stream(const std::vector<ShardSpec>& specs) {
-  std::vector<Stream> streams = per_shard_streams(specs);
-  Stream merged;
-  for (const Stream& stream : streams) {
-    merged.insert(merged.end(), stream.begin(), stream.end());
-  }
-  std::stable_sort(merged.begin(), merged.end(),
-                   [](const Request& a, const Request& b) {
-                     if (a.event->time != b.event->time) {
-                       return a.event->time < b.event->time;
-                     }
-                     return a.shard < b.shard;
-                   });
-  return {std::move(merged)};
-}
+/// Requests in submission order.
+using Stream = std::vector<benchx::RoutedEvent>;
 
 /// Drives one full service run with the producers + query threads, then
 /// checks every shard's drained snapshot — signature and final allocation
-/// — against the sequential reference.
+/// — against the sequential reference.  The producer threads share one
+/// cursor into `stream` and submit under its mutex, so requests are
+/// accepted in stream order whichever thread carries each one.
 void run_service(const std::vector<ShardSpec>& specs, const ServiceOptions& opt,
-                 const std::vector<Stream>& streams, int query_threads,
+                 const Stream& stream, int producer_threads, int query_threads,
                  const std::vector<ShardReplayResult>& reference,
                  const std::string& label) {
   AllocationService service(specs, opt);
@@ -120,11 +91,15 @@ void run_service(const std::vector<ShardSpec>& specs, const ServiceOptions& opt,
   }
 
   std::vector<std::thread> producers;
-  std::size_t requests = 0;
-  for (const Stream& stream : streams) {
-    requests += stream.size();
-    producers.emplace_back([&service, &stream] {
-      for (const Request& r : stream) {
+  const std::size_t requests = stream.size();
+  std::mutex cursor_mu;
+  std::size_t cursor = 0;
+  for (int t = 0; t < producer_threads; ++t) {
+    producers.emplace_back([&] {
+      while (true) {
+        std::lock_guard<std::mutex> lock(cursor_mu);
+        if (cursor == stream.size()) return;
+        const benchx::RoutedEvent& r = stream[cursor++];
         ASSERT_TRUE(service.submit(r.shard, *r.event));
       }
     });
@@ -164,8 +139,9 @@ TEST(ServiceStress, ConcurrentRunIsBitIdenticalToSequentialReplay) {
       sequential_reference(specs, opt);
   for (int workers : {1, 4, 8}) {
     opt.num_workers = workers;
-    run_service(specs, opt, per_shard_streams(specs), /*query_threads=*/3,
-                reference, std::to_string(workers) + " workers");
+    run_service(specs, opt, merged_stream(specs), /*producer_threads=*/4,
+                /*query_threads=*/3, reference,
+                std::to_string(workers) + " workers");
   }
 }
 
@@ -179,8 +155,9 @@ TEST(ServiceStress, ManyWorkersFewShardsKeepOrdering) {
   opt.num_workers = 8;
   opt.queue_capacity = 8;
   opt.batch_window_s = 0.0;
-  run_service(specs, opt, per_shard_streams(specs), /*query_threads=*/2,
-              sequential_reference(specs, opt), "window 0");
+  run_service(specs, opt, merged_stream(specs), /*producer_threads=*/2,
+              /*query_threads=*/2, sequential_reference(specs, opt),
+              "window 0");
 }
 
 TEST(ServiceStress, BenchmarkShapedRunsMatchTheReference) {
@@ -192,9 +169,10 @@ TEST(ServiceStress, BenchmarkShapedRunsMatchTheReference) {
   opt.num_workers = 2;
   const std::vector<ShardReplayResult> reference =
       sequential_reference(specs, opt);
-  const std::vector<Stream> streams = merged_stream(specs);
+  const Stream stream = merged_stream(specs);
   for (int rep = 0; rep < 5; ++rep) {
-    run_service(specs, opt, streams, /*query_threads=*/1, reference,
+    run_service(specs, opt, stream, /*producer_threads=*/1,
+                /*query_threads=*/1, reference,
                 "repetition " + std::to_string(rep));
   }
 }
